@@ -2,7 +2,9 @@
 //! serial baseline on a 64-function workload corpus. On a machine with
 //! ≥ 4 cores the parallel configuration should clear 2× the serial
 //! throughput, and the duplicate-heavy corpus shows the structural cache
-//! collapsing repeated functions to a single classification.
+//! collapsing repeated functions to a single classification. Every id
+//! measures the plain product — what `bivc` without `--invariants`
+//! serves.
 
 use std::time::Duration;
 
@@ -66,6 +68,7 @@ fn bench_batch_scaling(c: &mut Criterion) {
     for jobs in job_counts {
         let opts = BatchOptions {
             jobs,
+            invariants: false,
             ..BatchOptions::default()
         };
         group.bench_with_input(BenchmarkId::new("jobs", jobs), &corpus.funcs, |b, funcs| {
@@ -101,6 +104,7 @@ fn bench_batch_cache(c: &mut Criterion) {
     group.throughput(Throughput::Elements(CORPUS_FUNCTIONS as u64));
     let opts = BatchOptions {
         jobs: 1,
+        invariants: false,
         ..BatchOptions::default()
     };
     group.bench_with_input(

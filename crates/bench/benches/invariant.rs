@@ -124,6 +124,7 @@ fn bench_batch(c: &mut Criterion) {
         .collect();
     let opts = BatchOptions {
         jobs: 1,
+        invariants: true,
         ..BatchOptions::default()
     };
     let sanity = analyze_batch(&funcs, &opts);

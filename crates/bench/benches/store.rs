@@ -3,7 +3,8 @@
 //! from the persisted record log. The gap is the paper's analysis cost;
 //! the warm number is what a `bivd --cache-dir` restart pays. The
 //! emitted `BENCH_store.json` carries both timings plus the measured
-//! warm disk-hit rate.
+//! warm disk-hit rate. Both legs store the plain product — what
+//! `bivc --cache-dir` without `--invariants` serves.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -50,6 +51,7 @@ fn bench_dir(tag: &str) -> PathBuf {
 fn batch_opts() -> BatchOptions {
     BatchOptions {
         jobs: 1,
+        invariants: false,
         ..BatchOptions::default()
     }
 }

@@ -124,14 +124,25 @@ pub fn emit_json_with_extras(
     file.write_all(out.as_bytes())
 }
 
-/// The workspace root, derived from the bench crate's manifest directory
-/// so `BENCH_*.json` lands at the repo root regardless of the cwd cargo
-/// hands the bench binary.
+/// The workspace root `BENCH_*.json` lands in: the nearest directory at
+/// or above the current one whose `Cargo.toml` declares `[workspace]`.
+/// Cargo runs benches from their package root, so this is the checkout
+/// being benchmarked, never one baked in at compile time (a second copy
+/// of the repo that shares a `target/` must not write into the first).
+/// Falls back to the current directory outside any workspace.
 pub fn workspace_root() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+    let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
+    find_workspace_root(&cwd).unwrap_or(cwd)
+}
+
+fn find_workspace_root(start: &Path) -> Option<std::path::PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 fn json_string(s: &str) -> String {
@@ -201,6 +212,28 @@ mod tests {
             "unbalanced JSON"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn workspace_root_is_found_from_a_member_directory() {
+        let root = std::env::temp_dir().join(format!("biv_bench_root_{}", std::process::id()));
+        let member = root.join("crates/member/src");
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(
+            root.join("crates/member/Cargo.toml"),
+            "[package]\nname = \"member\"\n",
+        )
+        .unwrap();
+        assert_eq!(
+            find_workspace_root(&member).as_deref(),
+            Some(root.as_path())
+        );
+        assert_eq!(
+            find_workspace_root(&root.join("crates/member")).as_deref(),
+            Some(root.as_path())
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -57,6 +57,12 @@ pub struct BatchOptions {
     pub config: AnalysisConfig,
     /// Maximum entries the structural cache retains (FIFO eviction).
     pub cache_capacity: usize,
+    /// Whether summaries carry each loop's verified invariants. The
+    /// invariant product costs a null-space derivation plus interpreter
+    /// replay per function, so served entry points set this from the
+    /// request (`bivc --invariants`, the `invariants` op); the two
+    /// products are cached under different keys (see [`summary_key`]).
+    pub invariants: bool,
 }
 
 impl Default for BatchOptions {
@@ -65,8 +71,23 @@ impl Default for BatchOptions {
             jobs: 0,
             config: AnalysisConfig::default(),
             cache_capacity: 4096,
+            invariants: true,
         }
     }
+}
+
+/// The cache key of one product of a function: plain summaries are keyed
+/// by the structural hash itself, invariant-bearing ones by a fixed mix
+/// of it, so the two products never share a cache, store, or replica
+/// entry. The structural hash stays the function's visible identity.
+pub fn summary_key(hash: u64, invariants: bool) -> u64 {
+    if !invariants {
+        return hash;
+    }
+    let mut h = Fnv1a::new();
+    h.write_bytes(b"invariants");
+    h.write_u64(hash);
+    h.finish()
 }
 
 /// Resolves a requested job count: explicit request wins, then the
@@ -130,10 +151,10 @@ pub struct LoopSummary {
     pub classes: Vec<(String, String)>,
     /// Verified polynomial relations between this loop's induction
     /// variables (`2*%3 - %2^2 + %2 = 0` style), in derivation order.
-    /// Every entry passed the interpreter check; empty when no relation
-    /// was derived or none survived checking. Always computed, so cached
-    /// and stored summaries serve invariants warm; rendering is gated by
-    /// the `--invariants` flag instead.
+    /// Every entry passed the interpreter check. Computed only for the
+    /// invariant product ([`BatchOptions::invariants`]), which is cached
+    /// under its own [`summary_key`]; always empty in plain summaries,
+    /// and empty when no relation was derived or none survived checking.
     pub invariants: Vec<String>,
 }
 
@@ -196,10 +217,11 @@ impl FunctionSummary {
     }
 
     /// [`FunctionSummary::render`] with verified invariant lines included
-    /// when `show_invariants` is set. The invariants always live in the
-    /// summary (cached and stored either way); the flag only gates
-    /// printing, so warm and cold output stay byte-identical for either
-    /// flag state.
+    /// when `show_invariants` is set. Only the invariant product carries
+    /// relations to print, so pair the flag with the
+    /// [`BatchOptions::invariants`] the summary was produced under; a
+    /// summary's bytes depend only on its product key, so warm and cold
+    /// output stay byte-identical for either flag state.
     pub fn render_with(&self, show_invariants: bool) -> String {
         let mut out = String::new();
         out.push_str(&format!("func {} [{:016x}]\n", self.name, self.hash));
@@ -407,19 +429,25 @@ pub fn analyze_batch_with_backend<B: CacheBackend + ?Sized>(
     cache: &mut B,
 ) -> BatchReport {
     let hashes: Vec<u64> = funcs.iter().map(structural_hash).collect();
+    let keys = product_keys(&hashes, opts.invariants);
     let mut stats = BatchStats {
         functions: funcs.len(),
         ..BatchStats::default()
     };
-    let (plans, representatives) = plan_batch(&hashes, cache, &mut stats);
+    let (plans, representatives) = plan_batch(&keys, cache, &mut stats);
 
     // Parallel analysis of the representatives.
     let jobs = resolve_jobs(opts.jobs).min(representatives.len()).max(1);
     stats.jobs = jobs;
-    let computed = compute_representatives(funcs, &representatives, jobs, &opts.config);
+    let computed = compute_representatives(funcs, &representatives, jobs, opts);
 
-    commit_batch(&hashes, &representatives, &computed, cache, &mut stats);
+    commit_batch(&keys, &representatives, &computed, cache, &mut stats);
     assemble_report(plans, funcs, &hashes, &computed, stats)
+}
+
+/// The cache key of every function's requested product, in input order.
+fn product_keys(hashes: &[u64], invariants: bool) -> Vec<u64> {
+    hashes.iter().map(|&h| summary_key(h, invariants)).collect()
 }
 
 /// Per-function decision from the serial plan phase.
@@ -438,33 +466,34 @@ enum Plan {
 /// representative that will actually be analyzed. Counts hits and
 /// misses in `stats` and in the backend's cumulative counters.
 ///
-/// The batch-local duplicate check runs first and never consults the
-/// backend: the two cases are mutually exclusive (a hash lands in
-/// `slot_of_hash` only after the backend missed on its first
+/// Every decision is made on product keys ([`summary_key`]), never raw
+/// structural hashes. The batch-local duplicate check runs first and
+/// never consults the backend: the two cases are mutually exclusive (a
+/// key lands in `slot_of_key` only after the backend missed on its first
 /// occurrence, and planning never inserts), so counter totals are
 /// identical to checking the backend first.
 fn plan_batch<B: CacheBackend + ?Sized>(
-    hashes: &[u64],
+    keys: &[u64],
     cache: &mut B,
     stats: &mut BatchStats,
 ) -> (Vec<(Plan, bool)>, Vec<usize>) {
-    let mut slot_of_hash: HashMap<u64, usize> = HashMap::new();
+    let mut slot_of_key: HashMap<u64, usize> = HashMap::new();
     let mut representatives: Vec<usize> = Vec::new();
-    let mut plans: Vec<(Plan, bool)> = Vec::with_capacity(hashes.len());
-    for (i, &hash) in hashes.iter().enumerate() {
-        if let Some(&slot) = slot_of_hash.get(&hash) {
+    let mut plans: Vec<(Plan, bool)> = Vec::with_capacity(keys.len());
+    for (i, &key) in keys.iter().enumerate() {
+        if let Some(&slot) = slot_of_key.get(&key) {
             // Duplicate within this batch: share the representative's
             // result. Counts as a hit — it is not analyzed again.
             stats.hits += 1;
             cache.note_duplicate_hit();
             plans.push((Plan::Computed { slot }, true));
-        } else if let Some(summary) = cache.lookup(hash) {
+        } else if let Some(summary) = cache.lookup(key) {
             stats.hits += 1;
             plans.push((Plan::Cached(summary), true));
         } else {
             stats.misses += 1;
             let slot = representatives.len();
-            slot_of_hash.insert(hash, slot);
+            slot_of_key.insert(key, slot);
             representatives.push(i);
             plans.push((Plan::Computed { slot }, false));
         }
@@ -477,7 +506,7 @@ fn plan_batch<B: CacheBackend + ?Sized>(
 /// they cannot poison later lookups; an injected commit fault has the
 /// same effect — the result is still returned, just not retained.
 fn commit_batch<B: CacheBackend + ?Sized>(
-    hashes: &[u64],
+    keys: &[u64],
     representatives: &[usize],
     computed: &[Arc<StructuralSummary>],
     cache: &mut B,
@@ -487,7 +516,7 @@ fn commit_batch<B: CacheBackend + ?Sized>(
         if !computed[slot].cacheable() || crate::faults::fire("cache.commit") {
             continue;
         }
-        stats.evictions += cache.commit(hashes[i], Arc::clone(&computed[slot]));
+        stats.evictions += cache.commit(keys[i], Arc::clone(&computed[slot]));
     }
 }
 
@@ -621,33 +650,28 @@ pub fn analyze_batch_shared_backend<B: CacheBackend>(
     cache: &Mutex<B>,
 ) -> BatchReport {
     let hashes: Vec<u64> = funcs.iter().map(structural_hash).collect();
+    let keys = product_keys(&hashes, opts.invariants);
     let mut stats = BatchStats {
         functions: funcs.len(),
         ..BatchStats::default()
     };
     let (plans, representatives) = {
         let mut cache = cache.lock().expect("structural cache poisoned");
-        plan_batch(&hashes, &mut *cache, &mut stats)
+        plan_batch(&keys, &mut *cache, &mut stats)
     };
 
     // Analysis runs with the lock released. Server workers call this
     // with `jobs: 1` — request-level parallelism comes from the pool.
     let jobs = resolve_jobs(opts.jobs).min(representatives.len()).max(1);
     stats.jobs = jobs;
-    let computed = compute_representatives(funcs, &representatives, jobs, &opts.config);
+    let computed = compute_representatives(funcs, &representatives, jobs, opts);
 
     {
         // Same commit gate as the unshared path: never retain panicked
         // or deadline-degraded summaries, and let the injected commit
         // fault drop retention without affecting the returned report.
         let mut cache = cache.lock().expect("structural cache poisoned");
-        commit_batch(
-            &hashes,
-            &representatives,
-            &computed,
-            &mut *cache,
-            &mut stats,
-        );
+        commit_batch(&keys, &representatives, &computed, &mut *cache, &mut stats);
     }
 
     assemble_report(plans, funcs, &hashes, &computed, stats)
@@ -662,12 +686,13 @@ fn compute_representatives(
     funcs: &[Function],
     representatives: &[usize],
     jobs: usize,
-    config: &AnalysisConfig,
+    opts: &BatchOptions,
 ) -> Vec<Arc<StructuralSummary>> {
+    let summarize_one = |func| Arc::new(summarize(func, &opts.config, opts.invariants));
     if representatives.len() <= 1 || jobs == 1 {
         return representatives
             .iter()
-            .map(|&i| Arc::new(summarize(&funcs[i], config)))
+            .map(|&i| summarize_one(&funcs[i]))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
@@ -682,7 +707,7 @@ fn compute_representatives(
                 if k >= reps.len() {
                     break;
                 }
-                let summary = Arc::new(summarize(&funcs[reps[k]], config));
+                let summary = summarize_one(&funcs[reps[k]]);
                 if tx.send((k, summary)).is_err() {
                     break;
                 }
@@ -706,9 +731,14 @@ fn compute_representatives(
 ///
 /// Runs behind the panic-isolation boundary: a panicking function
 /// yields an error summary (rendered as an `error:` line) while the
-/// rest of the batch proceeds normally.
-pub(crate) fn summarize(func: &Function, config: &AnalysisConfig) -> StructuralSummary {
-    summarize_filtered(func, config, None)
+/// rest of the batch proceeds normally. Loop invariants are derived and
+/// checked only when `invariants` is set.
+pub(crate) fn summarize(
+    func: &Function,
+    config: &AnalysisConfig,
+    invariants: bool,
+) -> StructuralSummary {
+    summarize_filtered(func, config, invariants, None)
 }
 
 /// [`summarize`] restricted to the loops whose header lies in `keep`
@@ -718,6 +748,7 @@ pub(crate) fn summarize(func: &Function, config: &AnalysisConfig) -> StructuralS
 pub(crate) fn summarize_filtered(
     func: &Function,
     config: &AnalysisConfig,
+    invariants: bool,
     keep: Option<&std::collections::HashSet<biv_ir::Block>>,
 ) -> StructuralSummary {
     let analysis = match analyze_protected(func, *config) {
@@ -731,7 +762,11 @@ pub(crate) fn summarize_filtered(
         }
     };
     let namer = canonical_value_name;
-    let mut invariants = crate::invariants::function_invariants(func, config, &analysis);
+    let mut invariants = if invariants {
+        crate::invariants::function_invariants(func, config, &analysis)
+    } else {
+        Default::default()
+    };
     let mut loops = Vec::new();
     for (l, info) in analysis.loops() {
         if let Some(keep) = keep {
@@ -956,6 +991,85 @@ mod tests {
             L1: for i = 1 to n { j = j + i A[j] = i }
         }
     "#;
+
+    /// A literal-init running sum: `2s = i² − i` holds on every iteration.
+    const RUNNING_SUM: &str =
+        "func sums(n) { i = 1 s = 0 loop { s = s + i i = i + 1 if i > n { break } } }";
+
+    #[test]
+    fn only_the_invariant_product_derives_invariants() {
+        let func = &funcs_of(RUNNING_SUM)[0];
+        let config = AnalysisConfig::default();
+        let plain = summarize(func, &config, false);
+        assert!(plain.loops.iter().all(|l| l.invariants.is_empty()));
+        let product = analyze_batch(std::slice::from_ref(func), &BatchOptions::default());
+        assert_eq!(
+            product.functions[0].summary.loops[0].invariants,
+            ["%0 + 2*%1 - %0^2 = 0"],
+            "the default options keep the invariant product"
+        );
+        // Everything but the relations is the same analysis.
+        let mut stripped = (*product.functions[0].summary).clone();
+        stripped.loops.iter_mut().for_each(|l| l.invariants.clear());
+        assert_eq!(stripped, plain);
+    }
+
+    #[test]
+    fn products_never_share_a_key() {
+        let hash = structural_hash(&funcs_of(RUNNING_SUM)[0]);
+        assert_eq!(summary_key(hash, false), hash, "plain keys stay the hash");
+        assert_ne!(summary_key(hash, true), hash);
+        assert_eq!(summary_key(hash, true), summary_key(hash, true));
+    }
+
+    #[test]
+    fn alternating_products_on_one_warm_cache_match_cold_runs() {
+        let src = format!("{RUNNING_SUM}\n{TWO_LOOPS}");
+        let funcs = funcs_of(&src);
+        let opts = |invariants| BatchOptions {
+            jobs: 1,
+            invariants,
+            ..BatchOptions::default()
+        };
+        let blocks = |report: &BatchReport, invariants| -> String {
+            report
+                .functions
+                .iter()
+                .map(|f| f.render_with(invariants))
+                .collect()
+        };
+        let cold = |invariants| {
+            let report = analyze_batch(&funcs, &opts(invariants));
+            blocks(&report, invariants)
+        };
+        let (cold_plain, cold_invariants) = (cold(false), cold(true));
+        assert!(cold_invariants.contains("invariant: "));
+
+        let mut cache = StructuralCache::new(64);
+        for (pass, invariants) in [false, true, false, true].into_iter().enumerate() {
+            let report = analyze_batch_with_cache(&funcs, &opts(invariants), &mut cache);
+            let want = if invariants {
+                &cold_invariants
+            } else {
+                &cold_plain
+            };
+            assert_eq!(&blocks(&report, invariants), want, "pass {pass}");
+            // The first pass of each product analyzes its three distinct
+            // structures; the other product's entries never answer.
+            assert_eq!(
+                report.stats.misses,
+                if pass < 2 { 3 } else { 0 },
+                "pass {pass}"
+            );
+            let relations = report
+                .functions
+                .iter()
+                .flat_map(|f| &f.summary.loops)
+                .any(|l| !l.invariants.is_empty());
+            assert_eq!(relations, invariants, "pass {pass}");
+        }
+        assert_eq!(cache.len(), 6, "one entry per structure and product");
+    }
 
     #[test]
     fn alpha_renamed_functions_share_a_hash() {

@@ -18,9 +18,10 @@
 //! # Versioning
 //!
 //! A durable cache outlives the binary that wrote it, so every entry is
-//! keyed by `(FORMAT_VERSION, structural_hash)` — in practice the
-//! version is stamped once per store, not per record, and a mismatch
-//! invalidates the whole store wholesale. **Any change to the analyzer
+//! keyed by `(FORMAT_VERSION, summary_key)` — the structural hash, mixed
+//! for the invariant product (see [`summary_key`](crate::summary_key)).
+//! In practice the version is stamped once per store, not per record,
+//! and a mismatch invalidates the whole store wholesale. **Any change to the analyzer
 //! that can alter a [`StructuralSummary`]'s bytes — classification
 //! rules, closed-form rendering, trip-count logic, the summary format
 //! itself — must bump [`FORMAT_VERSION`].** The structural hash alone
@@ -42,8 +43,11 @@ use crate::budget::Budget;
 /// (every record becomes garbage and is compacted away).
 ///
 /// History: 1 — original summary format; 2 — mixed-geometric
-/// classification plus per-loop verified invariants in every summary.
-pub const FORMAT_VERSION: u32 = 2;
+/// classification plus per-loop verified invariants in every summary;
+/// 3 — invariants computed only when requested, cached under their own
+/// key ([`summary_key`](crate::summary_key)). The invariant engine's
+/// configuration is fixed in code, so this version covers it too.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The configuration fingerprint a persistent store is keyed on,
 /// alongside [`FORMAT_VERSION`].
@@ -76,7 +80,7 @@ pub struct StoreGauges {
     pub disk_hits: u64,
     /// Lookups that missed both tiers.
     pub disk_misses: u64,
-    /// Records currently live (latest record per structural hash).
+    /// Records currently live (latest record per product key).
     pub records_live: u64,
     /// Superseded or invalidated records still occupying log bytes.
     pub records_garbage: u64,
@@ -105,17 +109,18 @@ pub struct StoreGauges {
 /// - `hits + misses` across the cumulative counters equals the number
 ///   of functions ever submitted, regardless of tiering.
 pub trait CacheBackend: Send {
-    /// Looks `hash` up, counting a hit or a miss. A hit from *any* tier
-    /// counts as a hit here; tier attribution shows up only in
+    /// Looks a product key ([`summary_key`](crate::summary_key)) up,
+    /// counting a hit or a miss. A hit from *any* tier counts as a hit
+    /// here; tier attribution shows up only in
     /// [`store_gauges`](CacheBackend::store_gauges).
-    fn lookup(&mut self, hash: u64) -> Option<Arc<StructuralSummary>>;
+    fn lookup(&mut self, key: u64) -> Option<Arc<StructuralSummary>>;
 
     /// Counts a batch-local duplicate as a hit (no lookup performed).
     fn note_duplicate_hit(&mut self);
 
-    /// Commits a cacheable summary; returns how many entries the
-    /// memory tier evicted to make room.
-    fn commit(&mut self, hash: u64, summary: Arc<StructuralSummary>) -> usize;
+    /// Commits a cacheable summary under its product key; returns how
+    /// many entries the memory tier evicted to make room.
+    fn commit(&mut self, key: u64, summary: Arc<StructuralSummary>) -> usize;
 
     /// The memory tier, for capacity / entry-count gauges.
     fn memory(&self) -> &StructuralCache;

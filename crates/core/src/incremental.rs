@@ -1199,6 +1199,9 @@ pub fn analyze_incremental_with_regions(
     regions: &RegionMap,
     state: &mut IncrementalState,
 ) -> IncrementalReport {
+    // Incremental reports never print invariants, so every summary here
+    // is the plain product (keyed, like the batch driver's, by the bare
+    // structural hash).
     if !regions.is_sliceable() {
         // Whole-function fallback: still memoized, keyed by the batch
         // driver's structural hash, just not nest-granular.
@@ -1206,7 +1209,7 @@ pub fn analyze_incremental_with_regions(
         let (summary, reused) = match state.cache.lookup(hash) {
             Some(s) => (s, true),
             None => {
-                let s = Arc::new(summarize(func, &state.config));
+                let s = Arc::new(summarize(func, &state.config, false));
                 if s.cacheable() {
                     state.cache.insert(hash, Arc::clone(&s));
                 }
@@ -1243,6 +1246,7 @@ pub fn analyze_incremental_with_regions(
                 let s = Arc::new(summarize_filtered(
                     &sliced.func,
                     &state.config,
+                    false,
                     Some(&sliced.keep),
                 ));
                 if s.cacheable() {
@@ -1419,7 +1423,7 @@ mod tests {
         let report = analyze_incremental(&f, &mut state);
         assert!(report.stats.sliceable);
         assert_eq!(report.nests.len(), 1);
-        let full = summarize(&f, &config);
+        let full = summarize(&f, &config, false);
         assert_eq!(
             *report.nests[0].summary, full,
             "one-nest slice is the whole function"

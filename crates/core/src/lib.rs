@@ -67,8 +67,8 @@ pub mod validate;
 pub use batch::{
     analyze_batch, analyze_batch_shared, analyze_batch_shared_backend, analyze_batch_with_backend,
     analyze_batch_with_cache, cold_batch_stats, render_grouped, render_grouped_with, resolve_jobs,
-    structural_hash, BatchOptions, BatchReport, BatchStats, FunctionSummary, LoopSummary,
-    StructuralCache, StructuralSummary,
+    structural_hash, summary_key, BatchOptions, BatchReport, BatchStats, FunctionSummary,
+    LoopSummary, StructuralCache, StructuralSummary,
 };
 pub use budget::{Budget, BudgetBreach, BudgetMeter};
 pub use cache::{analysis_fingerprint, CacheBackend, StoreGauges, FORMAT_VERSION};

@@ -32,8 +32,8 @@
 //! the rejoining shard's arc-successor set — exactly the shards that
 //! absorbed its key ranges while it was away — hands its store snapshot
 //! over with a `preload` frame. The snapshot is a superset of the moved
-//! ranges, which is harmless: summaries are pure functions of the
-//! structural hash, so preloading an unrelated entry can never change
+//! ranges, which is harmless: summaries are pure functions of their
+//! product key, so preloading an unrelated entry can never change
 //! output bytes, only warm a cache.
 
 use std::collections::HashMap;

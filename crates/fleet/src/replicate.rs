@@ -20,8 +20,10 @@
 //!   endpoint, and a successor the view has not met yet defers the
 //!   whole batch to a retry — never a silent "sent".
 //!
-//! Because a summary is a pure function of its structural hash, pushing
-//! the same batch twice — or to a shard that also computed it locally —
+//! Entries travel under their product key (`biv_core::summary_key`),
+//! so plain and invariant-bearing summaries of one function never
+//! collide on a replica. Because a summary is a pure function of that
+//! key, pushing the same batch twice — or to a shard that also computed it locally —
 //! is idempotent by construction. The queue depth is exported as the
 //! `replication_lag` gauge.
 

@@ -87,11 +87,11 @@ pub struct FleetConfig {
     /// Busy rejections tolerated per group submission before the shard
     /// is declared saturated for those files.
     pub max_busy_retries: u32,
-    /// Render verified per-loop invariants in each shard's per-file
-    /// blocks, exactly as `bivc --invariants` does locally. Shards
-    /// always *compute* invariants (they live in the cached summaries);
-    /// this flag only selects the rendering, so warm and cold fleet
-    /// runs stay byte-identical for either setting.
+    /// Compute and render verified per-loop invariants in each shard's
+    /// per-file blocks, exactly as `bivc --invariants` does locally.
+    /// Shards derive invariants only for requests carrying this flag and
+    /// cache, store, and replicate that product under its own key, so
+    /// warm and cold fleet runs stay byte-identical for either setting.
     pub invariants: bool,
 }
 
@@ -744,6 +744,7 @@ mod tests {
         }
         let opts = BatchOptions {
             cache_capacity: cap,
+            invariants,
             ..BatchOptions::default()
         };
         let report = analyze_batch(&funcs, &opts);

@@ -29,8 +29,10 @@ pub trait ClusterHook: Send + Sync {
     fn view(&self) -> Json;
 
     /// Observes summaries committed while serving `source` (an analyze
-    /// request's file text), so the agent can replicate them to the
-    /// key's successors. Called after the batch is in the local cache.
+    /// request's file text), each paired with its product key
+    /// (`biv_core::summary_key`), so the agent can replicate them to the
+    /// content key's successors. Called after the batch is in the local
+    /// cache.
     fn on_commit(&self, source: &str, entries: &[(u64, Arc<StructuralSummary>)]);
 
     /// Extra top-level stats sections (`membership`, `replication`).

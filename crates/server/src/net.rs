@@ -150,7 +150,7 @@ impl Listener {
         match self {
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::tcp(s)),
         }
     }
 }
@@ -186,8 +186,18 @@ impl Conn {
                 io::ErrorKind::Unsupported,
                 format!("unix sockets unsupported here ({})", path.display()),
             )),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Conn::tcp),
         }
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off: every frame is one
+    /// write ([`write_frame`](crate::frame::write_frame)), so there is
+    /// nothing to coalesce, and a request/response exchange must not
+    /// wait out the peer's delayed ACK. Failing to set the option costs
+    /// only latency, never the connection, so the error is ignored.
+    fn tcp(stream: TcpStream) -> Conn {
+        let _ = stream.set_nodelay(true);
+        Conn::Tcp(stream)
     }
 
     /// Dials the endpoint with a bound on how long the connect may
@@ -205,7 +215,7 @@ impl Conn {
                         format!("endpoint resolves to no address: {addr}"),
                     )
                 })?;
-                TcpStream::connect_timeout(&resolved, timeout).map(Conn::Tcp)
+                TcpStream::connect_timeout(&resolved, timeout).map(Conn::tcp)
             }
             other => Conn::connect(other),
         }

@@ -46,7 +46,9 @@ pub struct AnalyzeFile {
 /// One replicated summary inside a [`Request::Replicate`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaEntry {
-    /// The structural hash the summary is stored under.
+    /// The product key the summary is stored under
+    /// (`biv_core::summary_key`: the structural hash itself for plain
+    /// summaries, a fixed mix of it for invariant-bearing ones).
     pub hash: u64,
     /// The `biv-store` codec encoding of the summary (hex on the wire).
     pub bytes: Vec<u8>,
@@ -68,11 +70,11 @@ pub enum Request {
         /// the deterministic cold-run stats line (the server's actual
         /// cache is sized server-side). `None` means the default.
         cache_cap: Option<usize>,
-        /// Render each loop's verified polynomial invariants. On the
-        /// wire this is the `invariants` op — same payload shape as
-        /// `analyze`, invariant lines included in the output. Summaries
-        /// always carry their invariants either way, so flag state never
-        /// affects what gets cached or stored.
+        /// Derive, check, and render each loop's verified polynomial
+        /// invariants. On the wire this is the `invariants` op — same
+        /// payload shape as `analyze`, invariant lines included in the
+        /// output. The invariant product is cached and stored under its
+        /// own key, so a plain request never pays for it.
         invariants: bool,
     },
     /// Analyze a batch on one fleet shard, returning per-file blocks
@@ -89,8 +91,9 @@ pub enum Request {
         shard_id: u32,
         /// The fleet size the router routed against.
         shard_count: u32,
-        /// Render invariant lines in the per-file blocks, as for
-        /// [`Request::Analyze`]; optional on the wire, default off.
+        /// Compute and render invariant lines in the per-file blocks,
+        /// as for [`Request::Analyze`]; optional on the wire, default
+        /// off.
         invariants: bool,
     },
     /// Preload the server's cache from a drained shard's store

@@ -42,7 +42,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use biv_core::{
-    analyze_batch_shared_backend, cold_batch_stats, render_grouped_with, resolve_jobs,
+    analyze_batch_shared_backend, cold_batch_stats, render_grouped_with, resolve_jobs, summary_key,
     AnalysisConfig, BatchOptions, Budget, CacheBackend, StructuralCache,
 };
 use biv_ir::parser::parse_program;
@@ -434,6 +434,7 @@ pub(crate) fn worker_loop(shared: &Shared<'_>) {
             ..AnalysisConfig::default()
         },
         cache_capacity: shared.config.cache_cap,
+        invariants: false, // each analyze request picks its product
     };
     while let Some(job) = shared.queue.pop() {
         let guard = ReplyGuard {
@@ -560,16 +561,23 @@ fn process_analyze(
     }
     let parse = t.elapsed();
 
+    // The request picks the product: invariants are derived and checked
+    // only when it asks to print them.
+    let opts = BatchOptions {
+        invariants,
+        ..opts.clone()
+    };
     let t = Instant::now();
-    let report = analyze_batch_shared_backend(&funcs, opts, &shared.cache);
+    let report = analyze_batch_shared_backend(&funcs, &opts, &shared.cache);
     let analyze = t.elapsed();
 
     // Replica write-through: hand each file's committed summaries to
     // the cluster agent, keyed by the file's source (the agent derives
     // the content key and pushes to the key's ring successors
-    // asynchronously). Summaries are pure functions of the structural
-    // hash, so replicating the whole file — hits included — is
-    // idempotent and can never diverge a replica.
+    // asynchronously). Each entry travels under its product key, and a
+    // summary is a pure function of that key, so replicating the whole
+    // file — hits included — is idempotent and can never diverge a
+    // replica.
     if let Some(cluster) = &shared.config.cluster {
         let mut next = 0usize;
         for (file, outcome) in files.iter().zip(&parsed) {
@@ -577,7 +585,7 @@ fn process_analyze(
                 let entries: Vec<_> = report.functions[next..next + count]
                     .iter()
                     .filter(|f| f.summary.cacheable())
-                    .map(|f| (f.hash, Arc::clone(&f.summary)))
+                    .map(|f| (summary_key(f.hash, invariants), Arc::clone(&f.summary)))
                     .collect();
                 next += count;
                 if !entries.is_empty() {
@@ -709,7 +717,7 @@ fn process_preload(shared: &Shared<'_>, dir: &str) -> Response {
 /// summary and commit it through the normal cache path (memory bounds,
 /// `cacheable()` filtering, and write-through to our own store all
 /// apply). Commits are idempotent — a summary is a pure function of its
-/// hash — so re-delivery after a retry is harmless. An undecodable
+/// product key — so re-delivery after a retry is harmless. An undecodable
 /// entry fails the *request* (the primary will retry or drop it), never
 /// the server.
 fn process_replicate(shared: &Shared<'_>, entries: &[ReplicaEntry]) -> Response {
@@ -1659,6 +1667,31 @@ mod tests {
         let threaded = run(NetMode::Threaded);
         let event = run(NetMode::Event);
         assert_eq!(threaded, event, "front-ends must answer the same bytes");
+    }
+
+    #[test]
+    fn reused_tcp_connection_pings_without_delayed_ack_stalls() {
+        // A frame split over two writes, without TCP_NODELAY, waits out
+        // the peer's delayed ACK (~40 ms) on every exchange after the
+        // first: 20 round trips would take the better part of a second.
+        for mode in [NetMode::Threaded, NetMode::Event] {
+            let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
+            config.workers = 1;
+            config.net_mode = mode;
+            let (endpoint, handle) = spawn_server(config);
+            let mut client = Client::connect(&Endpoint::parse(&endpoint)).unwrap();
+            let start = Instant::now();
+            for _ in 0..20 {
+                assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+            }
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_millis(200),
+                "{mode:?}: 20 pings on one connection took {elapsed:?}"
+            );
+            client.request(&Request::Shutdown).unwrap();
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -158,10 +158,12 @@ mod tests {
 
     #[test]
     fn pre_invariant_store_invalidates_wholesale_on_reopen() {
-        // A store written by the previous analyzer release (format 1,
-        // before mixed-geometric classes and invariant lines existed)
-        // must not serve a single record to the current release: its
-        // summaries would be missing the invariants field entirely.
+        // A store written by the previous analyzer release must not
+        // serve a single record to the current release. Today that is
+        // format 2 → 3: a v2 store holds invariant-bearing summaries
+        // under plain structural-hash keys, so serving any of them would
+        // hand a plain request the wrong product. (The same test covered
+        // 1 → 2, when records lacked the invariants field entirely.)
         let dir = tmp_dir("pre-invariant");
         let old_opts = StoreOptions {
             format_version: biv_core::FORMAT_VERSION - 1,

@@ -71,12 +71,13 @@
 //!
 //! `--invariants` adds machine-checked per-loop polynomial invariants
 //! (e.g. `2*s - i^2 + i = 0`) to the grouped batch report. Invariants
-//! are always *computed* — they live in the cached summaries and ride
-//! the store, the daemon, and the fleet — so the flag only selects
-//! rendering: local, `--remote`, and `--fleet` runs print identical
-//! bytes for either setting, warm or cold. With `--stats-json` the
-//! object gains an `invariants` block (loops carrying at least one
-//! relation, total relations).
+//! are computed only when the flag asks for them: the invariant-bearing
+//! summaries are a separate product, cached, stored, and replicated
+//! under their own key, so a plain run never pays for derivation or
+//! replay. Local, `--remote`, and `--fleet` runs print identical bytes
+//! for either setting, warm or cold. With `--stats-json` the object
+//! gains an `invariants` block (loops carrying at least one relation,
+//! total relations; zero without the flag).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -452,6 +453,7 @@ fn run_batch_local(
             budget: opts.budget,
             ..AnalysisConfig::default()
         },
+        invariants: opts.invariants,
         ..BatchOptions::default()
     };
     if let Some(cap) = opts.cache_cap {

@@ -15,12 +15,17 @@
 
 #![cfg(feature = "fault-injection")]
 
+// These tests use only a slice of the shared helpers.
+#[allow(dead_code)]
+mod common;
+
 use std::io::BufRead;
 use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use biv::server::{Client, Endpoint, Json, Request, Response, Server, ServerConfig};
+use biv::server::{Client, Endpoint, Request, Response, Server, ServerConfig};
+use common::{await_alive, await_replication_settled, stat};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -69,6 +74,7 @@ fn analyze_with_retries(client: &mut Client, attempt_cap: usize) -> String {
             .request(&Request::Analyze {
                 files: files(),
                 cache_cap: None,
+                invariants: false,
             })
             .expect("transport stays usable under injection");
         match response {
@@ -89,13 +95,6 @@ fn analyze_with_retries(client: &mut Client, attempt_cap: usize) -> String {
         }
     }
     panic!("no success within {attempt_cap} attempts");
-}
-
-fn stat(stats: &Json, path: &[&str]) -> i64 {
-    path.iter()
-        .try_fold(stats, |node, key| node.get(key))
-        .and_then(|v| v.as_i64())
-        .unwrap_or_else(|| panic!("stats missing {path:?} in {}", stats.to_text()))
 }
 
 #[test]
@@ -341,85 +340,6 @@ fn spawn_member_shard_process(
         .to_string();
     std::thread::spawn(move || for _ in lines {});
     (child, endpoint)
-}
-
-/// One shard's membership view, if it answers within half a second.
-fn fetch_view(endpoint: &str) -> Option<biv::fleet::View> {
-    let mut client =
-        Client::connect_timeout(&Endpoint::parse(endpoint), Duration::from_millis(500)).ok()?;
-    match client.request(&Request::Members).ok()? {
-        Response::Members { view } | Response::Gossip { view } => {
-            biv::fleet::View::from_json(&view).ok()
-        }
-        _ => None,
-    }
-}
-
-/// Polls one seed until its view shows `want` alive members (gossip
-/// convergence after joins/rejoins), panicking past the deadline.
-fn await_alive(seed: &str, want: usize, deadline: Duration) -> biv::fleet::View {
-    let until = std::time::Instant::now() + deadline;
-    loop {
-        if let Some(view) = fetch_view(seed) {
-            let alive = view
-                .members
-                .iter()
-                .filter(|m| m.state.as_str() == "alive")
-                .count();
-            if alive == want {
-                return view;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < until,
-            "membership did not converge to {want} alive member(s) via {seed} within {deadline:?}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// Polls until the R-way write-through of the last batch has fully
-/// landed: every shard's queue is empty **and** at least
-/// `expect_entries` summaries were actually received by replicas
-/// fleet-wide. (`replication_lag == 0` alone is not enough — a batch
-/// popped from the queue can still be in flight on the sender thread.)
-fn await_replication_settled(endpoints: &[String], expect_entries: i64, deadline: Duration) {
-    let until = std::time::Instant::now() + deadline;
-    loop {
-        let mut lag = 0i64;
-        let mut received = 0i64;
-        let mut dropped = 0i64;
-        let mut all_answered = true;
-        for endpoint in endpoints {
-            let Some(stats) =
-                Client::connect_timeout(&Endpoint::parse(endpoint), Duration::from_millis(500))
-                    .ok()
-                    .and_then(|mut c| c.request(&Request::Stats).ok())
-                    .and_then(|r| match r {
-                        Response::Stats(stats) => Some(stats),
-                        _ => None,
-                    })
-            else {
-                all_answered = false;
-                break;
-            };
-            lag += stat(&stats, &["replication", "replication_lag"]);
-            received += stat(&stats, &["requests", "replica_received"]);
-            dropped += stat(&stats, &["replication", "dropped"]);
-        }
-        if all_answered && lag == 0 && received >= expect_entries {
-            assert_eq!(
-                dropped, 0,
-                "no replication batch may be dropped in this test"
-            );
-            return;
-        }
-        assert!(
-            std::time::Instant::now() < until,
-            "replication did not settle within {deadline:?} (lag {lag}, received {received} of {expect_entries})"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }
 
 /// R=2 warm failover: three member shards gossip into one ring, a batch

@@ -5,6 +5,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use biv::server::{Client, Endpoint, Json, Request, Response};
+
 /// Runs `bivc` with the given args from the crate root.
 pub fn bivc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bivc"))
@@ -140,7 +142,6 @@ impl Daemon {
 /// requests have been accepted into its queue — the point after which
 /// the drain contract guarantees they are answered.
 pub fn wait_for_accepted(daemon: &Daemon, n: i64) {
-    use biv::server::{Client, Endpoint, Request, Response};
     let endpoint = Endpoint::Unix(daemon.socket.clone());
     let mut client = Client::connect(&endpoint).expect("connect for stats polling");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -171,5 +172,92 @@ impl Drop for Daemon {
             let _ = child.wait();
         }
         let _ = std::fs::remove_file(&self.socket);
+    }
+}
+
+/// One integer counter out of a `stats` JSON tree, by key path.
+pub fn stat(stats: &Json, path: &[&str]) -> i64 {
+    path.iter()
+        .try_fold(stats, |node, key| node.get(key))
+        .and_then(|v| v.as_i64())
+        .unwrap_or_else(|| panic!("stats missing {path:?} in {}", stats.to_text()))
+}
+
+/// One shard's membership view, if it answers within half a second.
+pub fn fetch_view(endpoint: &str) -> Option<biv::fleet::View> {
+    let mut client =
+        Client::connect_timeout(&Endpoint::parse(endpoint), Duration::from_millis(500)).ok()?;
+    match client.request(&Request::Members).ok()? {
+        Response::Members { view } | Response::Gossip { view } => {
+            biv::fleet::View::from_json(&view).ok()
+        }
+        _ => None,
+    }
+}
+
+/// Polls one seed until its view shows `want` alive members (gossip
+/// convergence after joins/rejoins), panicking past the deadline.
+pub fn await_alive(seed: &str, want: usize, deadline: Duration) -> biv::fleet::View {
+    let until = Instant::now() + deadline;
+    loop {
+        if let Some(view) = fetch_view(seed) {
+            let alive = view
+                .members
+                .iter()
+                .filter(|m| m.state.as_str() == "alive")
+                .count();
+            if alive == want {
+                return view;
+            }
+        }
+        assert!(
+            Instant::now() < until,
+            "membership did not converge to {want} alive member(s) via {seed} within {deadline:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// Polls until the R-way write-through of the last batch has fully
+/// landed: every shard's queue is empty **and** at least
+/// `expect_entries` summaries were actually received by replicas
+/// fleet-wide. (`replication_lag == 0` alone is not enough — a batch
+/// popped from the queue can still be in flight on the sender thread.)
+pub fn await_replication_settled(endpoints: &[String], expect_entries: i64, deadline: Duration) {
+    let until = Instant::now() + deadline;
+    loop {
+        let mut lag = 0i64;
+        let mut received = 0i64;
+        let mut dropped = 0i64;
+        let mut all_answered = true;
+        for endpoint in endpoints {
+            let Some(stats) =
+                Client::connect_timeout(&Endpoint::parse(endpoint), Duration::from_millis(500))
+                    .ok()
+                    .and_then(|mut c| c.request(&Request::Stats).ok())
+                    .and_then(|r| match r {
+                        Response::Stats(stats) => Some(stats),
+                        _ => None,
+                    })
+            else {
+                all_answered = false;
+                break;
+            };
+            lag += stat(&stats, &["replication", "replication_lag"]);
+            received += stat(&stats, &["requests", "replica_received"]);
+            dropped += stat(&stats, &["replication", "dropped"]);
+        }
+        if all_answered && lag == 0 && received >= expect_entries {
+            assert_eq!(
+                dropped, 0,
+                "no replication batch may be dropped in this test"
+            );
+            return;
+        }
+        assert!(
+            Instant::now() < until,
+            "replication did not settle within {deadline:?} (lag {lag}, received {received} of {expect_entries})"
+        );
+        std::thread::sleep(Duration::from_millis(50));
     }
 }

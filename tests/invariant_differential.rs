@@ -6,7 +6,10 @@
 //! (`--remote`), or across a 3-shard fleet (`--fleet`), cold and warm.
 //! Plus the checker canary: an off-by-one coefficient against *real*
 //! interpreter traces must be rejected by the same predicate the
-//! pipeline uses.
+//! pipeline uses. And because invariants are a separately keyed product,
+//! computed only on request, alternating plain and `--invariants` runs
+//! on one warm backend (`--cache-dir`, `--remote`, a replicated fleet
+//! with stores) must each print the cold local bytes for their flag.
 
 #![cfg(unix)]
 
@@ -18,10 +21,13 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
-use biv::server::{Client, Endpoint, Request, Response};
+use biv::server::{Client, Endpoint, Json, Request, Response};
 use biv::workload::{generate, running_sum_relation, WorkloadSpec};
-use common::{bivc_stdout, scratch_dir, Daemon};
+use common::{
+    await_alive, await_replication_settled, bivc, bivc_stdout, scratch_dir, stat, Daemon,
+};
 
 /// Writes one `invariants`-preset workload file per seed; returns the
 /// total number of planted running-sum pairs.
@@ -107,9 +113,9 @@ fn invariants_flag_is_pure_line_addition_and_recovers_planted_labels() {
     }
 }
 
-/// Spawns one `bivd --tcp 127.0.0.1:0 --fleet shard=K/N` shard and
-/// returns the child plus the endpoint parsed from its banner.
-fn spawn_tcp_shard(shard: u32, shard_count: u32) -> (Child, String) {
+/// Spawns one `bivd --tcp 127.0.0.1:0 --fleet shard=K/N <extra...>`
+/// shard and returns the child plus the endpoint parsed from its banner.
+fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bivd"))
         .args([
             "--tcp",
@@ -119,6 +125,7 @@ fn spawn_tcp_shard(shard: u32, shard_count: u32) -> (Child, String) {
             "--workers",
             "2",
         ])
+        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -175,7 +182,7 @@ fn remote_and_three_shard_fleet_invariant_bytes_match_local_warm_and_cold() {
     let mut children = Vec::new();
     let mut endpoints = Vec::new();
     for shard in 0..3 {
-        let (child, endpoint) = spawn_tcp_shard(shard, 3);
+        let (child, endpoint) = spawn_tcp_shard(shard, 3, &[]);
         children.push(child);
         endpoints.push(endpoint);
     }
@@ -185,6 +192,189 @@ fn remote_and_three_shard_fleet_invariant_bytes_match_local_warm_and_cold() {
         assert_eq!(reference, out, "--fleet {pass} pass diverged");
     }
     drain_fleet(children, &endpoints);
+}
+
+/// The flag order every cross-flag test runs on one warm backend.
+const ALTERNATING: [bool; 4] = [false, true, false, true];
+
+/// The `bivc` flag selecting the report for `invariants`.
+fn flag(invariants: bool) -> &'static str {
+    if invariants {
+        "--invariants"
+    } else {
+        "--batch"
+    }
+}
+
+/// Cold local reports for a corpus directory: `[plain, --invariants]`.
+fn cold_references(dir_arg: &str) -> [String; 2] {
+    let refs = [false, true].map(|invariants| bivc_stdout(&[flag(invariants), dir_arg]));
+    assert!(!refs[0].contains("invariant: ") && refs[1].contains("invariant: "));
+    refs
+}
+
+/// Runs `bivc`, asserting success; returns (stdout, stderr).
+fn bivc_output(args: &[&str]) -> (String, String) {
+    let out = bivc(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "bivc {args:?} failed:\n{stderr}");
+    (String::from_utf8(out.stdout).expect("UTF-8 stdout"), stderr)
+}
+
+#[test]
+fn cache_dir_alternating_flags_match_cold_local_runs() {
+    let dir = scratch_dir("inv-cross-store");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("corpus dir");
+    write_invariant_corpus(&corpus, &[11, 12, 13]);
+    let corpus_arg = corpus.display().to_string();
+    let store_arg = dir.join("store").display().to_string();
+    let json_path = dir.join("stats.json");
+    let json_arg = json_path.display().to_string();
+    let reference = cold_references(&corpus_arg);
+
+    let mut misses = Vec::new();
+    for (pass, invariants) in ALTERNATING.into_iter().enumerate() {
+        let out = bivc_stdout(&[
+            "--cache-dir",
+            &store_arg,
+            "--stats-json",
+            &json_arg,
+            flag(invariants),
+            &corpus_arg,
+        ]);
+        assert_eq!(
+            out, reference[invariants as usize],
+            "pass {pass} (invariants={invariants}) diverged from the cold local run"
+        );
+        let stats = Json::parse(&std::fs::read_to_string(&json_path).expect("stats written"))
+            .expect("stats json parses");
+        misses.push(stat(&stats, &["batch", "misses"]));
+    }
+    // Each product is analyzed once, on its first pass, and then served
+    // from the store; neither is ever answered by the other's records.
+    assert!(misses[0] > 0, "{misses:?}");
+    assert_eq!(misses, [misses[0], misses[0], 0, 0]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn remote_alternating_flags_match_cold_local_runs() {
+    let dir = scratch_dir("inv-cross-remote");
+    write_invariant_corpus(&dir, &[14, 15, 16]);
+    let dir_arg = dir.display().to_string();
+    let reference = cold_references(&dir_arg);
+
+    let daemon = Daemon::spawn("inv-cross-remote", &[]);
+    let socket = daemon.remote_arg();
+    let misses = || {
+        let mut client = Client::connect(&Endpoint::Unix(daemon.socket.clone())).expect("connect");
+        let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
+            panic!("expected a stats response");
+        };
+        stat(&stats, &["cache", "misses"])
+    };
+    let mut first_pass_misses = 0;
+    for (pass, invariants) in ALTERNATING.into_iter().enumerate() {
+        let out = bivc_stdout(&["--remote", &socket, flag(invariants), &dir_arg]);
+        assert_eq!(
+            out, reference[invariants as usize],
+            "--remote pass {pass} (invariants={invariants}) diverged"
+        );
+        if pass == 0 {
+            first_pass_misses = misses();
+        }
+    }
+    assert!(first_pass_misses > 0);
+    assert_eq!(
+        misses(),
+        2 * first_pass_misses,
+        "one miss per structure and product; warm passes all hit"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn replicated_fleet_alternating_flags_match_cold_local_runs_and_fail_over_warm() {
+    const FILES: usize = 6;
+    let dir = scratch_dir("inv-cross-fleet");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("corpus dir");
+    write_invariant_corpus(&corpus, &(21..21 + FILES as u64).collect::<Vec<_>>());
+    let corpus_arg = corpus.display().to_string();
+    let reference = cold_references(&corpus_arg);
+
+    // Two member shards, R=2: every summary a shard commits is pushed
+    // to the other, so each shard's store ends up holding both products
+    // of every structure — each under its own key.
+    let member = |shard: u32, peers: &str| {
+        let store = dir.join(format!("store{shard}")).display().to_string();
+        let args = [
+            "--peers",
+            peers,
+            "--replicas",
+            "2",
+            "--heartbeat-ms",
+            "50",
+            "--cache-dir",
+            &store,
+        ];
+        spawn_tcp_shard(shard, 2, &args)
+    };
+    let (child0, ep0) = member(0, "none");
+    let (child1, ep1) = member(1, &ep0);
+    let mut shards = KillOnUnwind(vec![child0, child1]);
+    await_alive(&ep0, 2, Duration::from_secs(10));
+
+    for (pass, invariants) in ALTERNATING.into_iter().enumerate() {
+        let (out, stderr) = bivc_output(&["--fleet", &ep0, flag(invariants), &corpus_arg]);
+        assert_eq!(
+            out, reference[invariants as usize],
+            "--fleet pass {pass} (invariants={invariants}) diverged"
+        );
+        if pass >= 2 {
+            assert!(
+                stderr.contains(" 0 analyzed"),
+                "pass {pass} is warm:\n{stderr}"
+            );
+        }
+    }
+
+    // Every pass pushed each file's single function to its replica.
+    let endpoints = [ep0.clone(), ep1.clone()];
+    let pushed = (ALTERNATING.len() * FILES) as i64;
+    await_replication_settled(&endpoints, pushed, Duration::from_secs(10));
+
+    // SIGKILL shard 1: its keys fail over to shard 0, which must serve
+    // both products warm from replicas, each under the right key.
+    let mut child1 = shards.0.pop().expect("shard 1");
+    child1.kill().expect("kill shard 1");
+    child1.wait().expect("reap shard 1");
+    for invariants in [false, true] {
+        let (out, stderr) = bivc_output(&["--fleet", &ep0, flag(invariants), &corpus_arg]);
+        assert_eq!(
+            out, reference[invariants as usize],
+            "failover (invariants={invariants}) diverged"
+        );
+        assert!(
+            stderr.contains(" 0 analyzed"),
+            "failover (invariants={invariants}) must be served warm:\n{stderr}"
+        );
+    }
+    drain_fleet(std::mem::take(&mut shards.0), &ep0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Shard processes a failing test would otherwise leave running.
+struct KillOnUnwind(Vec<Child>);
+
+impl Drop for KillOnUnwind {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 #[test]

@@ -5,6 +5,8 @@
 
 #![cfg(unix)]
 
+// These tests use only a slice of the shared helpers.
+#[allow(dead_code)]
 mod common;
 
 use common::{bivc, bivc_stdout, scratch_dir, wait_for_accepted, write_corpus_files, Daemon};

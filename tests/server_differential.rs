@@ -6,6 +6,8 @@
 
 #![cfg(unix)]
 
+// These tests use only a slice of the shared helpers.
+#[allow(dead_code)]
 mod common;
 
 use biv::server::{Client, Endpoint, Request, Response};
