@@ -1,4 +1,5 @@
-//! Dense rational matrices with exact Gauss–Jordan inversion.
+//! Dense rational matrices: exact Gauss–Jordan inversion and fraction-free
+//! integer null spaces.
 
 use std::fmt;
 
@@ -132,59 +133,62 @@ impl Matrix {
     /// Each basis vector has the free variable set to 1 and pivot
     /// variables solved exactly.
     ///
+    /// The elimination runs on integers, not rationals: each row's
+    /// denominators are cleared into a primitive `i128` row (content
+    /// divided out; all-zero rows dropped), and fraction-free
+    /// Gauss–Jordan elimination reduces every other row against the pivot
+    /// row as `row ← p·row − f·pivot_row` (both factors first divided by
+    /// `gcd(p, f)`), then divides the row by its content. The result is
+    /// the RREF up to a nonzero scale per row, so back-solving each free
+    /// column divides by the row's pivot entry. Scaling, reordering and
+    /// dropping zero rows all preserve the row space, and the RREF of a
+    /// matrix depends only on its row space, so the free columns and the
+    /// returned vectors are exactly those of rational Gauss–Jordan
+    /// elimination.
+    ///
     /// # Errors
     ///
-    /// Propagates [`RationalError::Overflow`] from intermediate arithmetic.
+    /// Returns [`RationalError::Overflow`] when clearing denominators or
+    /// an elimination step overflows `i128`.
     pub fn null_space(&self) -> Result<Vec<Vec<Rational>>, RationalError> {
-        let mut a = self.clone();
-        // `pivot_col[r]` is the pivot column of row `r` in the RREF.
+        let mut rows: Vec<Vec<i128>> = Vec::with_capacity(self.rows);
+        for r in 0..self.rows {
+            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+            if let Some(ints) = primitive_integer_row(row)? {
+                rows.push(ints);
+            }
+        }
+        // `pivot_cols[r]` is the pivot column of row `r` in the RREF.
         let mut pivot_cols: Vec<usize> = Vec::new();
-        let mut row = 0usize;
-        for col in 0..a.cols {
-            if row == a.rows {
+        for col in 0..self.cols {
+            let rank = pivot_cols.len();
+            if rank == rows.len() {
                 break;
             }
-            let pivot = (row..a.rows).find(|&r| !a.get(r, col).is_zero());
-            let pivot = match pivot {
-                Some(p) => p,
-                None => continue, // free column
+            let Some(pivot) = (rank..rows.len()).find(|&r| rows[r][col] != 0) else {
+                continue; // free column
             };
-            if pivot != row {
-                a.swap_rows(pivot, row);
-            }
-            let pivot_val = a.get(row, col);
-            let pivot_inv = Rational::ONE.checked_div(&pivot_val)?;
-            a.scale_row(row, &pivot_inv)?;
-            for r in 0..a.rows {
-                if r == row {
-                    continue;
+            rows.swap(pivot, rank);
+            let pivot_row = std::mem::take(&mut rows[rank]);
+            for row in &mut rows {
+                if !row.is_empty() && row[col] != 0 {
+                    eliminate(row, &pivot_row, col)?;
                 }
-                let factor = a.get(r, col);
-                if factor.is_zero() {
-                    continue;
-                }
-                a.sub_scaled_row(r, row, &factor)?;
             }
+            rows[rank] = pivot_row;
             pivot_cols.push(col);
-            row += 1;
         }
-        let is_pivot = {
-            let mut flags = vec![false; a.cols];
-            for &c in &pivot_cols {
-                flags[c] = true;
-            }
-            flags
-        };
+        let mut is_pivot = vec![false; self.cols];
+        for &c in &pivot_cols {
+            is_pivot[c] = true;
+        }
         let mut basis = Vec::new();
-        for free in 0..a.cols {
-            if is_pivot[free] {
-                continue;
-            }
-            let mut v = vec![Rational::ZERO; a.cols];
+        for free in (0..self.cols).filter(|&c| !is_pivot[c]) {
+            let mut v = vec![Rational::ZERO; self.cols];
             v[free] = Rational::ONE;
-            for (r, &pc) in pivot_cols.iter().enumerate() {
-                // Row r reads: x[pc] + Σ a[r][free]·x[free] = 0.
-                v[pc] = a.get(r, free).checked_neg()?;
+            for (row, &pc) in rows.iter().zip(&pivot_cols) {
+                // Row r reads: p·x[pc] + Σ row[free]·x[free] = 0.
+                v[pc] = Rational::new(row[free], row[pc])?.checked_neg()?;
             }
             basis.push(v);
         }
@@ -268,6 +272,88 @@ impl Matrix {
         }
         Ok(())
     }
+}
+
+/// Clears the denominators of `row` and divides out the content, giving
+/// the primitive integer row with the same span. `None` for a zero row.
+///
+/// Integer rows never hold `i128::MIN` (it is reported as overflow), so
+/// every entry has an `i128` absolute value for [`gcd`].
+fn primitive_integer_row(row: &[Rational]) -> Result<Option<Vec<i128>>, RationalError> {
+    let mut lcm: i128 = 1;
+    for den in row.iter().map(Rational::denominator).filter(|&d| d != 1) {
+        lcm = (lcm / gcd(lcm, den))
+            .checked_mul(den)
+            .ok_or(RationalError::Overflow)?;
+    }
+    let mut ints = Vec::with_capacity(row.len());
+    for value in row {
+        let scale = if lcm == 1 {
+            1
+        } else {
+            lcm / value.denominator()
+        };
+        let scaled = value
+            .numerator()
+            .checked_mul(scale)
+            .filter(|&x| x != i128::MIN)
+            .ok_or(RationalError::Overflow)?;
+        ints.push(scaled);
+    }
+    Ok(divide_content(&mut ints).then_some(ints))
+}
+
+/// One fraction-free Gauss–Jordan step: clears `row[col]` against
+/// `pivot_row` (whose entries left of `col` are zero) and keeps the row
+/// primitive.
+fn eliminate(row: &mut [i128], pivot_row: &[i128], col: usize) -> Result<(), RationalError> {
+    let g = gcd(pivot_row[col], row[col]);
+    let (p, f) = (pivot_row[col] / g, row[col] / g);
+    for (x, &q) in row.iter_mut().zip(pivot_row) {
+        *x = p
+            .checked_mul(*x)
+            .zip(f.checked_mul(q))
+            .and_then(|(a, b)| a.checked_sub(b))
+            .filter(|&x| x != i128::MIN)
+            .ok_or(RationalError::Overflow)?;
+    }
+    divide_content(row);
+    Ok(())
+}
+
+/// Divides `row` by the gcd of its entries. Returns `false` when the row
+/// is all zeros (and leaves it unchanged).
+fn divide_content(row: &mut [i128]) -> bool {
+    let mut content = 0i128;
+    for &x in row.iter() {
+        content = gcd(content, x);
+        if content == 1 {
+            return true;
+        }
+    }
+    if content == 0 {
+        return false;
+    }
+    for x in row.iter_mut() {
+        *x /= content;
+    }
+    true
+}
+
+/// Euclid's gcd of `|a|` and `|b|`, finished in `u64` once both fit: a
+/// 128-bit remainder is a library call, a 64-bit one a single instruction.
+fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    while b != 0 {
+        if let (Ok(mut x), Ok(mut y)) = (u64::try_from(a), u64::try_from(b)) {
+            while y != 0 {
+                (x, y) = (y, x % y);
+            }
+            return i128::from(x);
+        }
+        (a, b) = (b, a % b);
+    }
+    a as i128
 }
 
 impl fmt::Display for Matrix {
@@ -424,6 +510,272 @@ mod tests {
         for (i, v) in ns.iter().enumerate() {
             assert_eq!(v[i], Rational::ONE);
         }
+    }
+
+    /// The rational Gauss–Jordan null space that [`Matrix::null_space`]
+    /// replaced, kept as a differential oracle: every cell operation is
+    /// an exact `Rational` one.
+    fn rational_null_space(m: &Matrix) -> Result<Vec<Vec<Rational>>, RationalError> {
+        let mut a = m.clone();
+        let mut pivot_cols: Vec<usize> = Vec::new();
+        let mut row = 0usize;
+        for col in 0..a.cols {
+            if row == a.rows {
+                break;
+            }
+            let Some(pivot) = (row..a.rows).find(|&r| !a.get(r, col).is_zero()) else {
+                continue;
+            };
+            a.swap_rows(pivot, row);
+            let pivot_inv = Rational::ONE.checked_div(&a.get(row, col))?;
+            a.scale_row(row, &pivot_inv)?;
+            for r in 0..a.rows {
+                let factor = a.get(r, col);
+                if r != row && !factor.is_zero() {
+                    a.sub_scaled_row(r, row, &factor)?;
+                }
+            }
+            pivot_cols.push(col);
+            row += 1;
+        }
+        let mut basis = Vec::new();
+        for free in (0..a.cols).filter(|c| !pivot_cols.contains(c)) {
+            let mut v = vec![Rational::ZERO; a.cols];
+            v[free] = Rational::ONE;
+            for (r, &pc) in pivot_cols.iter().enumerate() {
+                v[pc] = a.get(r, free).checked_neg()?;
+            }
+            basis.push(v);
+        }
+        Ok(basis)
+    }
+
+    /// SplitMix64: a tiny deterministic PRNG for the property tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: i128, hi: i128) -> i128 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i128
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.next() % 100 < percent
+        }
+    }
+
+    fn rat(n: i128, d: i128) -> Rational {
+        Rational::new(n, d).unwrap()
+    }
+
+    /// A `rows × cols` matrix of rank at most `rank`: random small
+    /// combinations of `rank` random rational rows whose denominators are
+    /// drawn from `1..=max_den`.
+    fn low_rank(rng: &mut Rng, rows: usize, cols: usize, rank: usize, max_den: i128) -> Matrix {
+        let generators: Vec<Vec<Rational>> = (0..rank)
+            .map(|_| {
+                (0..cols)
+                    .map(|_| rat(rng.range(-4, 4), rng.range(1, max_den)))
+                    .collect()
+            })
+            .collect();
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows {
+            let weights: Vec<Rational> = (0..rank).map(|_| int(rng.range(-3, 3))).collect();
+            for c in 0..cols {
+                let mut acc = Rational::ZERO;
+                for (w, g) in weights.iter().zip(&generators) {
+                    acc += *w * g[c];
+                }
+                data.push(acc);
+            }
+        }
+        Matrix::from_rows(rows, cols, data)
+    }
+
+    /// Rewrites some rows of `m` in place as zero rows, duplicates of an
+    /// earlier row, or rational multiples of one — the row multiples a
+    /// symbolic initial value produces in an evaluation matrix.
+    fn perturb_rows(rng: &mut Rng, m: &mut Matrix) {
+        for r in 1..m.rows {
+            let src = rng.range(0, r as i128 - 1) as usize;
+            let factor = match rng.next() % 8 {
+                0 => Rational::ZERO,
+                1 => Rational::ONE,
+                2 => rat(rng.range(-9, 9), rng.range(1, 7)),
+                _ => continue,
+            };
+            for c in 0..m.cols {
+                *m.get_mut(r, c) = m.get(src, c) * factor;
+            }
+        }
+    }
+
+    /// The degree-≤2 evaluation matrix of `nvars` closed forms at
+    /// `h = 0..rows`: each variable is a random rational quadratic in `h`,
+    /// optionally plus a multiple of `2^h` or `3^h`; the columns are the
+    /// monomials `1, v_i, v_i·v_j` (the invariant engine's basis).
+    fn evaluation_matrix(rng: &mut Rng, nvars: usize, rows: usize) -> Matrix {
+        let forms: Vec<([Rational; 3], i128, Rational)> = (0..nvars)
+            .map(|_| {
+                let poly = [(); 3].map(|_| rat(rng.range(-5, 5), rng.range(1, 4)));
+                let base = rng.range(1, 3);
+                let geo = if rng.chance(30) {
+                    int(rng.range(-3, 3))
+                } else {
+                    Rational::ZERO
+                };
+                (poly, base, geo)
+            })
+            .collect();
+        let mut monomials: Vec<Vec<usize>> = vec![vec![]];
+        monomials.extend((0..nvars).map(|i| vec![i]));
+        for i in 0..nvars {
+            monomials.extend((i..nvars).map(|j| vec![i, j]));
+        }
+        let mut data = Vec::new();
+        for h in 0..rows as i128 {
+            let values: Vec<Rational> = forms
+                .iter()
+                .map(|(poly, base, geo)| {
+                    poly[0]
+                        + poly[1] * int(h)
+                        + poly[2] * int(h * h)
+                        + *geo * int(base.pow(h as u32))
+                })
+                .collect();
+            for mono in &monomials {
+                data.push(mono.iter().fold(Rational::ONE, |acc, &i| acc * values[i]));
+            }
+        }
+        Matrix::from_rows(rows, monomials.len(), data)
+    }
+
+    /// Asserts that every vector of `basis` annihilates `m`.
+    fn assert_annihilates(m: &Matrix, basis: &[Vec<Rational>]) {
+        for v in basis {
+            assert!(
+                m.mul_vec(v).unwrap().iter().all(Rational::is_zero),
+                "{v:?} is not in the kernel of\n{m}"
+            );
+        }
+    }
+
+    #[test]
+    fn null_space_matches_rational_oracle() {
+        let mut rng = Rng(0x5EED_1992);
+        // (rows, cols): the engine's 8×6 and 17×15 shapes, plus square,
+        // wide, and tall ones.
+        let shapes = [(8, 6), (17, 15), (6, 6), (3, 10), (5, 12), (20, 4), (24, 7)];
+        let mut compared = 0;
+        let mut cases = 0;
+        for round in 0..60 {
+            for &(rows, cols) in &shapes {
+                let rank = rng.range(0, rows.min(cols) as i128) as usize;
+                let max_den = if round % 2 == 0 { 1 } else { 6 };
+                let mut m = low_rank(&mut rng, rows, cols, rank, max_den);
+                if round % 3 == 0 {
+                    perturb_rows(&mut rng, &mut m);
+                }
+                let ours = m.null_space();
+                if let Ok(basis) = &ours {
+                    assert_annihilates(&m, basis);
+                }
+                cases += 1;
+                if let (Ok(ours), Ok(oracle)) = (ours, rational_null_space(&m)) {
+                    assert_eq!(ours, oracle, "null space differs for\n{m}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(
+            compared * 10 >= cases * 9,
+            "only {compared}/{cases} comparable"
+        );
+    }
+
+    #[test]
+    fn evaluation_matrix_null_space_matches_rational_oracle() {
+        let mut rng = Rng(0xB1C0_0002);
+        let mut compared = 0;
+        let mut cases = 0;
+        for round in 0..80 {
+            // Two closed forms give the 8×6 shape, four give 17×15.
+            let (nvars, rows) = if round % 2 == 0 { (2, 8) } else { (4, 17) };
+            let mut m = evaluation_matrix(&mut rng, nvars, rows);
+            if round % 4 < 2 {
+                perturb_rows(&mut rng, &mut m);
+            }
+            let ours = m.null_space();
+            if let Ok(basis) = &ours {
+                assert_annihilates(&m, basis);
+            }
+            cases += 1;
+            if let (Ok(ours), Ok(oracle)) = (ours, rational_null_space(&m)) {
+                assert_eq!(ours, oracle, "null space differs for\n{m}");
+                compared += 1;
+            }
+        }
+        assert!(
+            compared * 10 >= cases * 9,
+            "only {compared}/{cases} comparable"
+        );
+    }
+
+    #[test]
+    fn null_space_ignores_zero_and_duplicate_rows() {
+        let base = Matrix::from_rows(2, 3, vec![int(1), int(2), int(3), int(0), int(1), int(4)]);
+        let padded = Matrix::from_rows(
+            5,
+            3,
+            vec![
+                int(0),
+                int(0),
+                int(0),
+                int(0),
+                int(1),
+                int(4),
+                rat(1, 2),
+                int(1),
+                rat(3, 2),
+                int(1),
+                int(2),
+                int(3),
+                int(0),
+                int(0),
+                int(0),
+            ],
+        );
+        let expected = base.null_space().unwrap();
+        assert_eq!(expected, vec![vec![int(5), int(-4), int(1)]]);
+        assert_eq!(padded.null_space().unwrap(), expected);
+        assert_eq!(rational_null_space(&padded).unwrap(), expected);
+    }
+
+    #[test]
+    fn null_space_overflow_inside_elimination_is_an_error() {
+        // Both rows are primitive and fit comfortably, but clearing the
+        // first column multiplies ~2^70 by ~2^70.
+        let a = (1i128 << 70) + 1;
+        let c = (1i128 << 70) - 1;
+        let d = (1i128 << 70) + 3;
+        let m = Matrix::from_rows(2, 3, vec![int(a), int(1), int(0), int(c), int(d), int(1)]);
+        assert_eq!(m.null_space(), Err(RationalError::Overflow));
+    }
+
+    #[test]
+    fn null_space_overflow_clearing_denominators_is_an_error() {
+        let p = 1i128 << 100;
+        let m = Matrix::from_rows(1, 2, vec![rat(1, p - 1), rat(1, p + 1)]);
+        assert_eq!(m.null_space(), Err(RationalError::Overflow));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Invariant-engine benchmark: what the `--invariants` path costs on top
 //! of classification. Three figures go to `BENCH_invariant.json`:
-//! the exact null-space derivation over the canonical running-sum IV
-//! pair, the interpreter-trace checking predicate over realistic
-//! histories, and the end-to-end batch analysis of an invariant-bearing
-//! corpus (derivation + machine-checking included, as served).
+//! the derivation (closed-form evaluation plus fraction-free integer
+//! null space) over the canonical running-sum IV pair, the
+//! interpreter-trace checking predicate over realistic histories, and
+//! the end-to-end batch analysis of an invariant-bearing corpus
+//! (derivation + machine-checking included, as served).
 
 use std::time::Duration;
 
@@ -16,8 +17,20 @@ use biv_invariant::check::SeedHistories;
 use biv_invariant::{check_candidate, derive_candidates, Candidate, InvariantConfig, IvClosedForm};
 use biv_workload::{generate, WorkloadSpec};
 
-/// A new subsystem has no pre-change medians to compare against.
-const BASELINES: &[Baseline] = &[];
+/// Medians measured at the commit before derivation moved to integer
+/// rows and fraction-free elimination (rational Gauss–Jordan, every
+/// closed form re-evaluated inside every monomial), on the same shapes
+/// (ns/op): the median of seven full-mode runs on a 2-vCPU VM.
+const BASELINES: &[Baseline] = &[
+    Baseline {
+        id: "invariant/derive/2iv",
+        median_ns: 83_383.0,
+    },
+    Baseline {
+        id: "invariant/batch/24",
+        median_ns: 43_245_000.0,
+    },
+];
 
 const CORPUS_FUNCTIONS: usize = 24;
 const CHECK_SEEDS: usize = 4;
@@ -63,7 +76,8 @@ fn running_sum_ivs() -> Vec<IvClosedForm> {
 }
 
 /// Derivation alone: basis construction, exact evaluation matrix, and
-/// rational null-space solve for the degree-2 basis over two IVs.
+/// fraction-free integer null-space solve for the degree-2 basis over
+/// two IVs.
 fn bench_derive(c: &mut Criterion) {
     let ivs = running_sum_ivs();
     let config = InvariantConfig::default();

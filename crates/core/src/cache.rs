@@ -45,9 +45,12 @@ use crate::budget::Budget;
 /// History: 1 — original summary format; 2 — mixed-geometric
 /// classification plus per-loop verified invariants in every summary;
 /// 3 — invariants computed only when requested, cached under their own
-/// key ([`summary_key`](crate::summary_key)). The invariant engine's
-/// configuration is fixed in code, so this version covers it too.
-pub const FORMAT_VERSION: u32 = 3;
+/// key ([`summary_key`](crate::summary_key)); 4 — invariant derivation by
+/// fraction-free integer elimination (it overflows at different points
+/// than rational elimination, so an extreme input can change its
+/// invariant lines). The invariant engine's configuration is fixed in
+/// code, so this version covers it too.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The configuration fingerprint a persistent store is keyed on,
 /// alongside [`FORMAT_VERSION`].

@@ -39,10 +39,6 @@ const CHECK_STEP_LIMIT: usize = 20_000;
 /// to zero before a candidate counts as verified.
 const MIN_CHECKED_ITERATIONS: usize = 4;
 
-/// Derives and machine-checks polynomial invariants for every loop of an
-/// analyzed function. Returns only verified relations, rendered with
-/// canonical `%N` value names, keyed by loop. Loops without verified
-/// relations are absent.
 /// One loop's derivation inputs and its as-yet-unchecked candidates.
 type LoopCandidates = (
     Loop,
@@ -51,6 +47,10 @@ type LoopCandidates = (
     Vec<biv_invariant::Candidate>,
 );
 
+/// Derives and machine-checks polynomial invariants for every loop of an
+/// analyzed function. Returns only verified relations, rendered with
+/// canonical `%N` value names, keyed by loop. Loops without verified
+/// relations are absent.
 pub(crate) fn function_invariants(
     func: &Function,
     config: &AnalysisConfig,

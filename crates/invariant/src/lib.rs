@@ -8,9 +8,17 @@
 //! sense. Following de Oliveira et al.'s "Polynomial invariants by linear
 //! algebra", such relations are exactly the null space of an evaluation
 //! matrix: build the monomial basis over the IVs up to a degree bound,
-//! evaluate each basis monomial at sampled iteration counts via the
-//! closed forms (exact rational/symbolic arithmetic, no floats), and
-//! solve `A·c = 0` by exact Gaussian elimination.
+//! evaluate each IV's closed form once per sampled iteration count
+//! (exact rational/symbolic arithmetic, no floats), multiply those values
+//! into one cell per basis monomial, and solve `A·c = 0`.
+//!
+//! The solve ([`Matrix::null_space`]) runs on integer rows: each row's
+//! denominators are cleared, all-zero rows are dropped, and fraction-free
+//! Gauss–Jordan elimination keeps every row primitive. The reduced row
+//! echelon form of a matrix is unique and depends only on its row space,
+//! which row scaling, reordering and dropping zero rows all preserve, so
+//! the candidates are exactly the ones rational elimination would find
+//! wherever neither overflows `i128`.
 //!
 //! Sampling makes derivation *complete enough* in practice but not sound
 //! by itself (finitely many samples, geometric terms), so this crate
@@ -197,56 +205,61 @@ pub fn derive_candidates(ivs: &[IvClosedForm], config: &InvariantConfig) -> Vec<
     let basis = monomial_basis(ivs.len(), config.max_degree);
     let samples = basis.len() + config.extra_samples;
 
-    // Evaluate each basis monomial at each sampled iteration count. The
-    // results are symbolic polynomials over the loop-invariant symbols
+    // Evaluate each IV's closed form once per sampled iteration count;
+    // each basis monomial at that sample is a product of those values.
+    // The results are symbolic polynomials over the loop-invariant symbols
     // appearing in the closed forms; a relation must hold *identically*
     // in those symbols, so each (sample, symbol-monomial) pair becomes
     // one linear constraint over the candidate coefficients.
-    let mut columns: Vec<Vec<SymPoly>> = Vec::with_capacity(basis.len());
-    for exps in &basis {
-        let mut column = Vec::with_capacity(samples);
-        for h in 0..samples as i128 {
+    let mut cells: Vec<Vec<SymPoly>> = Vec::with_capacity(samples);
+    for h in 0..samples as i128 {
+        let Some(values): Option<Vec<SymPoly>> = ivs.iter().map(|iv| iv.eval_at(h)).collect()
+        else {
+            return Vec::new(); // overflow: refuse to derive
+        };
+        let mut row = Vec::with_capacity(basis.len());
+        for exps in &basis {
             let mut acc = SymPoly::constant(Rational::ONE);
-            for (iv, &p) in ivs.iter().zip(exps) {
-                if p == 0 {
-                    continue;
-                }
-                let Some(v) = iv.eval_at(h) else {
-                    return Vec::new(); // overflow: refuse to derive
-                };
+            for (v, &p) in values.iter().zip(exps) {
                 for _ in 0..p {
-                    acc = match acc.checked_mul(&v) {
+                    acc = match acc.checked_mul(v) {
                         Ok(m) => m,
                         Err(_) => return Vec::new(),
                     };
                 }
             }
-            column.push(acc);
+            row.push(acc);
         }
-        columns.push(column);
+        cells.push(row);
     }
 
     // Index the symbol-monomials seen anywhere (BTreeMap: deterministic).
     let mut row_index: BTreeMap<Vec<(u32, u32)>, usize> = BTreeMap::new();
-    for column in &columns {
-        for poly in column {
-            for (mono, _) in poly.iter() {
-                let key = mono_key(mono);
-                let next = row_index.len();
-                row_index.entry(key).or_insert(next);
-            }
+    for poly in cells.iter().flatten() {
+        for (mono, _) in poly.iter() {
+            let next = row_index.len();
+            row_index.entry(mono_key(mono)).or_insert(next);
         }
     }
-    let rows = samples * row_index.len().max(1);
-    let mut a = Matrix::zero(rows, basis.len());
-    for (col, column) in columns.iter().enumerate() {
-        for (h, poly) in column.iter().enumerate() {
+    let width = basis.len();
+    let mut data = vec![Rational::ZERO; samples * row_index.len() * width];
+    for (h, row) in cells.iter().enumerate() {
+        for (col, poly) in row.iter().enumerate() {
             for (mono, coeff) in poly.iter() {
                 let r = h * row_index.len() + row_index[&mono_key(mono)];
-                *a.get_mut(r, col) = *coeff;
+                data[r * width + col] = *coeff;
             }
         }
     }
+    // A symbol-monomial absent at some sample leaves an all-zero row,
+    // which constrains nothing.
+    let data: Vec<Rational> = data
+        .chunks(width)
+        .filter(|row| row.iter().any(|c| !c.is_zero()))
+        .flatten()
+        .copied()
+        .collect();
+    let a = Matrix::from_rows(data.len() / width, width, data);
 
     let Ok(kernel) = a.null_space() else {
         return Vec::new();
@@ -439,6 +452,135 @@ mod tests {
             })
         });
         assert!(found, "expected a g/d relation, got {cands:?}");
+    }
+
+    /// The degree-2 basis over `n` IVs, as `monomial_basis` orders it.
+    fn exps(n: usize) -> Vec<Vec<u32>> {
+        monomial_basis(n, 2)
+    }
+
+    fn linear(name: &str, init: i128, step: i128) -> IvClosedForm {
+        IvClosedForm {
+            name: name.into(),
+            coeffs: vec![c(init), c(step)],
+            geo: vec![],
+        }
+    }
+
+    fn candidates(coeffs: Vec<Vec<i128>>, nvars: usize) -> Vec<Candidate> {
+        coeffs
+            .into_iter()
+            .map(|coeffs| Candidate {
+                coeffs,
+                exps: exps(nvars),
+            })
+            .collect()
+    }
+
+    // The four tests below pin exact `derive_candidates` output recorded
+    // from the rational Gauss–Jordan engine, so any change in which
+    // relations are proposed (not just whether they verify) shows up.
+
+    #[test]
+    fn pinned_running_sum_pair() {
+        let s = IvClosedForm {
+            name: "s".into(),
+            coeffs: vec![
+                c(0),
+                SymPoly::constant(Rational::new(1, 2).unwrap()),
+                SymPoly::constant(Rational::new(1, 2).unwrap()),
+            ],
+            geo: vec![],
+        };
+        let cands = derive_candidates(&[linear("i", 1, 1), s], &InvariantConfig::default());
+        assert_eq!(cands, candidates(vec![vec![0, 1, 2, -1, 0, 0]], 2));
+    }
+
+    #[test]
+    fn pinned_mixed_geometric_base_2_and_3() {
+        let two = Rational::from_integer(2);
+        let three = Rational::from_integer(3);
+        // a = 5·2^h − 1 and b = 2·3^h + 1: no degree-2 relation.
+        let a = IvClosedForm {
+            name: "a".into(),
+            coeffs: vec![c(-1)],
+            geo: vec![(two, c(5))],
+        };
+        let b = IvClosedForm {
+            name: "b".into(),
+            coeffs: vec![c(1)],
+            geo: vec![(three, c(2))],
+        };
+        assert_eq!(
+            derive_candidates(&[a, b], &InvariantConfig::default()),
+            Vec::new()
+        );
+        // a = 5·2^h + 3^h − 1 and b = 10·2^h + 2·3^h + 4: b = 2a + 6.
+        let a = IvClosedForm {
+            name: "a".into(),
+            coeffs: vec![c(-1)],
+            geo: vec![(two, c(5)), (three, c(1))],
+        };
+        let b = IvClosedForm {
+            name: "b".into(),
+            coeffs: vec![c(4)],
+            geo: vec![(two, c(10)), (three, c(2))],
+        };
+        assert_eq!(
+            derive_candidates(&[a, b], &InvariantConfig::default()),
+            candidates(
+                vec![
+                    vec![6, 2, -1, 0, 0, 0],
+                    vec![0, 6, 0, 2, -1, 0],
+                    vec![36, 24, 0, 4, 0, -1],
+                ],
+                2
+            )
+        );
+    }
+
+    #[test]
+    fn pinned_four_linear_ivs_capped() {
+        // Four linear IVs span only {1, h, h²}: a 12-dimensional kernel
+        // over the 15 basis monomials, capped at `max_candidates`.
+        let ivs = [
+            linear("i", 0, 1),
+            linear("j", 5, 1),
+            linear("k", 2, 3),
+            linear("m", -4, 2),
+        ];
+        let cands = derive_candidates(&ivs, &InvariantConfig::default());
+        // Nonzero coefficients as (basis index, value); the basis runs
+        // 1, i, j, k, m, i², i·j, …
+        let pinned: Vec<Vec<i128>> = [
+            [(0, 5), (1, 1), (2, -1)],
+            [(0, 2), (1, 3), (3, -1)],
+            [(0, 4), (1, -2), (4, 1)],
+            [(1, 5), (5, 1), (6, -1)],
+        ]
+        .iter()
+        .map(|entries| {
+            let mut coeffs = vec![0; 15];
+            for &(m, v) in entries {
+                coeffs[m] = v;
+            }
+            coeffs
+        })
+        .collect();
+        assert_eq!(cands, candidates(pinned, 4));
+    }
+
+    #[test]
+    fn pinned_symbolic_init_yields_nothing() {
+        let i = IvClosedForm {
+            name: "i".into(),
+            coeffs: vec![SymPoly::symbol(biv_algebra::SymId(3)), c(1)],
+            geo: vec![],
+        };
+        assert_eq!(
+            derive_candidates(&[i], &InvariantConfig::default()),
+            Vec::new()
+        );
     }
 
     #[test]

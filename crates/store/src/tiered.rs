@@ -160,10 +160,12 @@ mod tests {
     fn pre_invariant_store_invalidates_wholesale_on_reopen() {
         // A store written by the previous analyzer release must not
         // serve a single record to the current release. Today that is
-        // format 2 → 3: a v2 store holds invariant-bearing summaries
-        // under plain structural-hash keys, so serving any of them would
-        // hand a plain request the wrong product. (The same test covered
-        // 1 → 2, when records lacked the invariants field entirely.)
+        // format 3 → 4: a v3 store holds invariant lines derived by
+        // rational elimination, which can differ from integer
+        // elimination's on inputs where one of them overflows. (The same
+        // test covered 2 → 3, when a v2 store held invariant-bearing
+        // summaries under plain structural-hash keys, and 1 → 2, when
+        // records lacked the invariants field entirely.)
         let dir = tmp_dir("pre-invariant");
         let old_opts = StoreOptions {
             format_version: biv_core::FORMAT_VERSION - 1,
