@@ -336,32 +336,6 @@ pub fn median_duration(samples: &[Duration]) -> Option<Duration> {
     })
 }
 
-/// The `p`-th percentile (0–100) of a set of durations, nearest-rank
-/// method over a sorted copy; `None` when empty. `p` is clamped to
-/// [0, 100], so `percentile_duration(s, 100.0)` is the maximum.
-pub fn percentile_duration(samples: &[Duration], p: f64) -> Option<Duration> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort();
-    Some(sorted_percentile(&sorted, p))
-}
-
-/// Nearest-rank percentile over an already **sorted** slice, for callers
-/// (latency windows) that take several percentiles from one sort.
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty.
-pub fn sorted_percentile(sorted: &[Duration], p: f64) -> Duration {
-    assert!(!sorted.is_empty(), "percentile of an empty sample set");
-    let p = p.clamp(0.0, 100.0);
-    // Nearest rank: ceil(p/100 · n), 1-based; p = 0 maps to rank 1.
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.max(1) - 1]
-}
-
 fn human_duration(d: Duration) -> String {
     let ns = d.as_nanos() as f64;
     if ns < 1_000.0 {
@@ -430,27 +404,6 @@ mod tests {
         group.finish();
         assert_eq!(c.measurements().len(), 1);
         assert!(c.measurements()[0].mean > Duration::ZERO);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let samples: Vec<Duration> = (1..=10).map(Duration::from_millis).collect();
-        assert_eq!(percentile_duration(&samples, 50.0).unwrap().as_millis(), 5);
-        assert_eq!(percentile_duration(&samples, 90.0).unwrap().as_millis(), 9);
-        assert_eq!(percentile_duration(&samples, 99.0).unwrap().as_millis(), 10);
-        assert_eq!(
-            percentile_duration(&samples, 100.0).unwrap().as_millis(),
-            10
-        );
-        assert_eq!(percentile_duration(&samples, 0.0).unwrap().as_millis(), 1);
-        assert_eq!(percentile_duration(&[], 50.0), None);
-        // Order of the input must not matter.
-        let mut shuffled = samples.clone();
-        shuffled.reverse();
-        assert_eq!(
-            percentile_duration(&shuffled, 90.0),
-            percentile_duration(&samples, 90.0)
-        );
     }
 
     #[test]

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod latency;
 pub mod report;
 
 /// The paper-figure sources benchmarked by `benches/paper_figures.rs`, as

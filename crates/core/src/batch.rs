@@ -231,19 +231,10 @@ impl FunctionSummary {
 }
 
 /// Renders a summary's loop blocks, budget lines, and error line — the
-/// part shared between the batch report and the incremental per-nest
-/// report, so both print classifications in the same shape.
-pub(crate) fn render_summary_body(out: &mut String, summary: &StructuralSummary) {
-    render_summary_body_with(out, summary, false);
-}
-
-/// [`render_summary_body`], optionally printing each loop's verified
-/// invariant relations after its class lines.
-pub(crate) fn render_summary_body_with(
-    out: &mut String,
-    summary: &StructuralSummary,
-    show_invariants: bool,
-) {
+/// body under each `func` header in the batch report — optionally
+/// printing each loop's verified invariant relations after its class
+/// lines.
+fn render_summary_body_with(out: &mut String, summary: &StructuralSummary, show_invariants: bool) {
     use std::fmt::Write as _;
     if let Some(error) = &summary.error {
         let _ = writeln!(out, "  error: internal: {error}");
@@ -738,19 +729,6 @@ pub(crate) fn summarize(
     config: &AnalysisConfig,
     invariants: bool,
 ) -> StructuralSummary {
-    summarize_filtered(func, config, invariants, None)
-}
-
-/// [`summarize`] restricted to the loops whose header lies in `keep`
-/// (`None` keeps every loop) — the incremental driver uses this to pull
-/// one nest's summary out of a sliced function that also carries its
-/// dependency nests.
-pub(crate) fn summarize_filtered(
-    func: &Function,
-    config: &AnalysisConfig,
-    invariants: bool,
-    keep: Option<&std::collections::HashSet<biv_ir::Block>>,
-) -> StructuralSummary {
     let analysis = match analyze_protected(func, *config) {
         Ok(analysis) => analysis,
         Err(AnalysisError::Internal { detail }) => {
@@ -769,11 +747,6 @@ pub(crate) fn summarize_filtered(
     };
     let mut loops = Vec::new();
     for (l, info) in analysis.loops() {
-        if let Some(keep) = keep {
-            if !keep.contains(&analysis.forest().data(l).header) {
-                continue;
-            }
-        }
         // `VecMap` iteration is in value-index order.
         let classes = info
             .classes

@@ -57,7 +57,6 @@ mod config;
 mod display;
 mod driver;
 mod faults;
-pub mod incremental;
 mod invariants;
 mod scc;
 mod symbols;
@@ -81,10 +80,6 @@ pub use config::AnalysisConfig;
 pub use display::{
     canonical_value_name, describe_class, describe_class_with, describe_closed_form,
     describe_closed_form_with, ValueNamer,
-};
-pub use incremental::{
-    analyze_incremental, analyze_incremental_with_regions, perturb_nest_constant, FunctionSlice,
-    IncrementalReport, IncrementalState, IncrementalStats, NestOutcome, NestRegion, RegionMap,
 };
 
 pub use driver::{

@@ -1,16 +1,12 @@
 //! Bounded-window latency recording with percentile snapshots.
 //!
-//! The bench harness measures closed-world workloads; a serving process
-//! measures an open-ended stream of requests. [`LatencyWindow`] bridges
-//! the two: it keeps the most recent `window` samples in a ring (so a
-//! long-lived daemon's percentiles track *current* behavior, not its
+//! A serving process measures an open-ended stream of requests.
+//! [`LatencyWindow`] keeps the most recent `window` samples in a ring (so
+//! a long-lived daemon's percentiles track *current* behavior, not its
 //! boot-time warmup) plus lifetime count/total/max, and renders a
-//! [`LatencySnapshot`] through the same nearest-rank percentile
-//! machinery the harness uses ([`crate::harness::sorted_percentile`]).
+//! [`LatencySnapshot`] with nearest-rank percentiles.
 
 use std::time::Duration;
-
-use crate::harness::sorted_percentile;
 
 /// A ring of recent duration samples plus lifetime aggregates.
 #[derive(Debug, Clone)]
@@ -84,11 +80,6 @@ impl LatencyWindow {
         self.next = (self.next + 1) % self.window;
     }
 
-    /// Samples recorded over the window's lifetime.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Computes the current percentile summary.
     pub fn snapshot(&self) -> LatencySnapshot {
         if self.ring.is_empty() {
@@ -107,6 +98,13 @@ impl LatencyWindow {
     }
 }
 
+/// Nearest-rank percentile of an ascending, non-empty sample set:
+/// rank `ceil(p/100 · n)`, 1-based, with `p = 0` mapping to rank 1.
+fn sorted_percentile(sorted: &[Duration], p: f64) -> Duration {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.max(1) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +113,14 @@ mod tests {
     fn empty_window_reports_zeroes() {
         let w = LatencyWindow::new(8);
         assert_eq!(w.snapshot(), LatencySnapshot::empty());
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let samples: Vec<Duration> = (1..=10).map(Duration::from_millis).collect();
+        let at = |p| sorted_percentile(&samples, p).as_millis();
+        assert_eq!((at(0.0), at(50.0), at(90.0)), (1, 5, 9));
+        assert_eq!((at(99.0), at(100.0)), (10, 10));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! - [`net`] — Unix-socket and TCP transports behind one interface;
 //! - [`pool`] — the bounded job queue whose full state is the
 //!   backpressure signal;
+//! - `latency` — bounded-window latency samples with percentile
+//!   snapshots;
 //! - [`metrics`] — lock-free counters plus per-phase latency windows;
 //! - [`signal`] — SIGINT/SIGTERM to a drain flag, no `libc` crate;
 //! - [`server`] — job routing, the worker pool, timeouts, graceful
@@ -40,6 +42,7 @@ mod event;
 mod faults;
 pub mod frame;
 pub mod json;
+mod latency;
 pub mod metrics;
 pub mod net;
 pub mod pool;

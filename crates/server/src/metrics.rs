@@ -1,21 +1,19 @@
 //! Live server metrics: request counters and per-phase latency windows.
 //!
 //! Counters are lock-free atomics bumped on the hot path; latency
-//! samples go through a mutex-guarded [`LatencyWindow`] per phase
+//! samples go through a mutex-guarded `LatencyWindow` per phase
 //! (four uncontended lock acquisitions per request — noise next to an
 //! analysis). The `stats` request renders everything as one JSON
-//! object via [`Metrics::snapshot_json`], reusing the bench harness's
-//! percentile machinery so the daemon and the benchmarks agree on what
-//! "p99" means.
+//! object via [`Metrics::snapshot_json`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use biv_bench::latency::{LatencySnapshot, LatencyWindow};
 use biv_core::StoreGauges;
 
 use crate::json::Json;
+use crate::latency::{LatencySnapshot, LatencyWindow};
 
 /// How many recent samples each phase window retains.
 const WINDOW: usize = 1024;

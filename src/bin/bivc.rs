@@ -9,7 +9,6 @@
 //! bivc --remote ENDPOINT FILE|DIR...      # submit the batch to a running bivd
 //! bivc --fleet EP1,EP2,... FILE|DIR...    # shard the batch across a bivd fleet
 //! bivc --optimize FILE|DIR...             # IV-driven transformations, validated
-//! bivc --watch-bench [--edits N] FILE...  # incremental re-analysis under edits
 //! bivc --demo                             # run the built-in Figure 1 demo
 //! ```
 //!
@@ -21,15 +20,6 @@
 //! transformed IR; several files (or `--jobs`/`--batch`) print one
 //! report line per function plus aggregate totals, byte-identical for
 //! every job count. Any validation failure makes the exit code nonzero.
-//!
-//! `--watch-bench` simulates an editing session: for every function it
-//! partitions the loop nests into hash-keyed regions, applies a
-//! deterministic sequence of single-nest constant edits (`--edits`,
-//! default 16), and after each edit re-analyzes twice — incrementally
-//! against the warm per-nest cache, and from scratch. It prints per-edit
-//! reuse counts with median wall times for both paths, and cross-checks
-//! every warm result byte-for-byte against a cold incremental run;
-//! any divergence makes the exit code nonzero.
 //!
 //! `--time` additionally prints per-phase wall times (parse, SSA, loop
 //! forest, classify, closed forms) to stderr; analysis output on stdout
@@ -102,8 +92,6 @@ struct Options {
     classic: bool,
     batch: bool,
     optimize: bool,
-    watch_bench: bool,
-    edits: usize,
     time: bool,
     jobs: usize,
     cache_cap: Option<usize>,
@@ -116,7 +104,7 @@ struct Options {
     paths: Vec<String>,
 }
 
-const USAGE: &str = "usage: bivc [--ssa] [--classes] [--deps] [--trip-counts] [--classic] [--dot] [--time] FILE\n       bivc [--jobs N] [--batch] [--invariants] [--cache-cap N] [--cache-dir DIR] [--stats-json PATH] [--time] FILE|DIR...\n       bivc --remote ENDPOINT [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --fleet EP1,EP2,... [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --optimize [--jobs N] [--stats-json PATH] FILE|DIR...\n       bivc --watch-bench [--edits N] FILE|DIR...\n       bivc --demo\n\nrobustness knobs (any mode):\n       --budget time=MS,nodes=N,scc=N,order=N   degrade to `unknown` past these caps\n       --faults seed=N,profile=NAME             deterministic fault injection\n                                                (needs a fault-injection build)";
+const USAGE: &str = "usage: bivc [--ssa] [--classes] [--deps] [--trip-counts] [--classic] [--dot] [--time] FILE\n       bivc [--jobs N] [--batch] [--invariants] [--cache-cap N] [--cache-dir DIR] [--stats-json PATH] [--time] FILE|DIR...\n       bivc --remote ENDPOINT [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --fleet EP1,EP2,... [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --optimize [--jobs N] [--stats-json PATH] FILE|DIR...\n       bivc --demo\n\nrobustness knobs (any mode):\n       --budget time=MS,nodes=N,scc=N,order=N   degrade to `unknown` past these caps\n       --faults seed=N,profile=NAME             deterministic fault injection\n                                                (needs a fault-injection build)";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -128,8 +116,6 @@ fn parse_args() -> Result<Options, String> {
         classic: false,
         batch: false,
         optimize: false,
-        watch_bench: false,
-        edits: 16,
         time: false,
         jobs: 0,
         cache_cap: None,
@@ -175,16 +161,6 @@ fn parse_args() -> Result<Options, String> {
             "--optimize" => {
                 opts.optimize = true;
                 any_flag = true; // suppress the default analysis dump
-            }
-            "--watch-bench" => {
-                opts.watch_bench = true;
-                any_flag = true; // suppress the default analysis dump
-            }
-            "--edits" => {
-                let value = args.next().ok_or("--edits needs a value")?;
-                opts.edits = value
-                    .parse()
-                    .map_err(|_| format!("invalid --edits value `{value}`"))?;
             }
             // Orthogonal to the output selectors: does not touch any_flag.
             "--time" => opts.time = true,
@@ -260,10 +236,6 @@ fn parse_args() -> Result<Options, String> {
                 } else if let Some(value) = other.strip_prefix("--fleet=") {
                     opts.fleet = Some(value.to_string());
                     opts.batch = true;
-                } else if let Some(value) = other.strip_prefix("--edits=") {
-                    opts.edits = value
-                        .parse()
-                        .map_err(|_| format!("invalid --edits value `{value}`"))?;
                 } else if let Some(value) = other.strip_prefix("--budget=") {
                     opts.budget = Budget::parse(value)?;
                 } else if let Some(value) = other.strip_prefix("--faults=") {
@@ -299,17 +271,6 @@ fn parse_args() -> Result<Options, String> {
         if opts.optimize {
             return Err("--optimize is local-only: transformed IR and validation both need the functions in-process".into());
         }
-        if opts.watch_bench {
-            return Err(
-                "--watch-bench is local-only: the edit loop needs the functions in-process".into(),
-            );
-        }
-    }
-    if opts.watch_bench && opts.cache_dir.is_some() {
-        return Err("--watch-bench keeps its per-nest cache in memory; drop --cache-dir".into());
-    }
-    if opts.watch_bench && opts.optimize {
-        return Err("--watch-bench and --optimize are separate modes; pick one".into());
     }
     if opts.optimize && opts.cache_dir.is_some() {
         return Err(
@@ -317,8 +278,10 @@ fn parse_args() -> Result<Options, String> {
                 .into(),
         );
     }
-    if opts.invariants && (opts.optimize || opts.watch_bench) {
-        return Err("--invariants is a batch-report flag; it does not combine with --optimize or --watch-bench".into());
+    if opts.invariants && opts.optimize {
+        return Err(
+            "--invariants is a batch-report flag; it does not combine with --optimize".into(),
+        );
     }
     Ok(opts)
 }
@@ -701,118 +664,6 @@ fn run_optimize(opts: &Options) -> Result<usize, String> {
     Ok(errors.len())
 }
 
-/// The `--watch-bench` mode: an editing-session simulation measuring
-/// incremental re-analysis. For every function, a warm
-/// [`IncrementalState`] survives a deterministic sequence of single-nest
-/// constant edits; after each edit the function is re-analyzed three
-/// ways — warm incremental (the measurement), whole-function
-/// `analyze_with` (the baseline), and cold incremental (the oracle:
-/// its rendering must match the warm run byte-for-byte). Returns the
-/// number of errors, including identity mismatches (already printed to
-/// stderr).
-fn run_watch_bench(opts: &Options) -> Result<usize, String> {
-    use biv::core_analysis::{
-        analyze_incremental, perturb_nest_constant, IncrementalState, RegionMap,
-    };
-    let mut errors: Vec<String> = Vec::new();
-    let files = expand_inputs(&opts.paths, &mut errors);
-    if files.is_empty() && errors.is_empty() {
-        return Err("no input files found".into());
-    }
-    let mut funcs: Vec<Function> = Vec::new();
-    for path in &files {
-        let source = match std::fs::read_to_string(path) {
-            Ok(source) => source,
-            Err(e) => {
-                errors.push(format!("cannot read `{path}`: {e}"));
-                continue;
-            }
-        };
-        match parse_program(&source) {
-            Ok(program) => funcs.extend(program.functions),
-            Err(e) => errors.push(format!("{path}: parse error: {e}")),
-        }
-    }
-    let config = AnalysisConfig {
-        budget: opts.budget,
-        ..AnalysisConfig::default()
-    };
-    let median_us = |ns: &mut Vec<u128>| -> f64 {
-        ns.sort_unstable();
-        if ns.is_empty() {
-            return 0.0;
-        }
-        ns[ns.len() / 2] as f64 / 1000.0
-    };
-    for func in &funcs {
-        let mut state = IncrementalState::new(config);
-        let t_cold = Instant::now();
-        let initial = analyze_incremental(func, &mut state);
-        let cold_ns = t_cold.elapsed().as_nanos();
-        if !initial.stats.sliceable {
-            println!(
-                "func {}: not sliceable (no nests or shared exits); whole-function fallback, \
-                 cold {:.1}µs",
-                func.name(),
-                cold_ns as f64 / 1000.0
-            );
-            continue;
-        }
-        let mut current = func.clone();
-        let mut warm_ns: Vec<u128> = Vec::new();
-        let mut full_ns: Vec<u128> = Vec::new();
-        let (mut applied, mut reused_total, mut nests_total) = (0usize, 0usize, 0usize);
-        for edit in 0..opts.edits {
-            let regions = RegionMap::compute(&current);
-            if !regions.is_sliceable() || regions.nests.is_empty() {
-                break;
-            }
-            // Round-robin over nests; a nest with no constants just
-            // skips its turn.
-            let k = edit % regions.nests.len();
-            let pick = edit as u64 * 0x9e37_79b9 + 17;
-            let Some(mutated) = perturb_nest_constant(&current, &regions, k, pick) else {
-                continue;
-            };
-            let t_warm = Instant::now();
-            let warm = analyze_incremental(&mutated, &mut state);
-            warm_ns.push(t_warm.elapsed().as_nanos());
-            let t_full = Instant::now();
-            let full = analyze_with(&mutated, config);
-            full_ns.push(t_full.elapsed().as_nanos());
-            std::hint::black_box(&full);
-            let mut cold_state = IncrementalState::new(config);
-            let cold = analyze_incremental(&mutated, &mut cold_state);
-            if warm.render_nests() != cold.render_nests() {
-                errors.push(format!(
-                    "{}: edit {edit}: warm incremental diverged from cold re-analysis",
-                    func.name()
-                ));
-            }
-            applied += 1;
-            reused_total += warm.stats.reused;
-            nests_total += warm.stats.nests;
-            current = mutated;
-        }
-        println!(
-            "func {}: nests={} edits={} reused {}/{} | cold {:.1}µs, warm median {:.1}µs, \
-             full median {:.1}µs",
-            func.name(),
-            initial.stats.nests,
-            applied,
-            reused_total,
-            nests_total,
-            cold_ns as f64 / 1000.0,
-            median_us(&mut warm_ns),
-            median_us(&mut full_ns),
-        );
-    }
-    for error in &errors {
-        eprintln!("bivc: {error}");
-    }
-    Ok(errors.len())
-}
-
 /// Ships the batch to a `bivd` at `endpoint`. The daemon renders the
 /// same bytes a local run would (its stats line replays a cold cache at
 /// this client's `--cache-cap`), so callers cannot tell the modes apart
@@ -928,16 +779,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.watch_bench {
-        return match run_watch_bench(&opts) {
-            Ok(0) => ExitCode::SUCCESS,
-            Ok(_) => ExitCode::FAILURE, // errors / identity mismatches on stderr
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if opts.optimize {
         return match run_optimize(&opts) {
             Ok(0) => ExitCode::SUCCESS,

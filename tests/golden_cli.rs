@@ -154,6 +154,25 @@ fn missing_input_fails_cleanly() {
 }
 
 #[test]
+fn removed_watch_bench_flags_fail_as_unknown() {
+    // The per-nest incremental mode is gone; its flags must fail loudly
+    // rather than fall through to the default analysis dump.
+    for args in [
+        &["--watch-bench", "tests/golden/fig1.biv"][..],
+        &["--edits", "4", "tests/golden/fig1.biv"][..],
+    ] {
+        let out = bivc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "bivc {args:?} must fail");
+        assert!(
+            stderr.contains("unknown flag"),
+            "bivc {args:?} stderr:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "bivc {args:?} printed a report");
+    }
+}
+
+#[test]
 fn cache_cap_drives_the_eviction_counter() {
     // Unbounded (default): the golden directory's distinct structures
     // all stay resident, so nothing is evicted.

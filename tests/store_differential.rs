@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use biv::core_analysis::{
     analyze_batch_with_backend, BatchOptions, Budget, CacheBackend, StructuralCache,
@@ -39,6 +39,11 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Serializes every test that opens a store in this process. In a
+/// fault-injection build the `store_chaos` tests arm a process-global
+/// fault plan, and a store opened by a concurrent test would inherit it.
+static PLAN_GATE: Mutex<()> = Mutex::new(());
+
 fn batch_opts() -> BatchOptions {
     BatchOptions {
         jobs: 1,
@@ -48,6 +53,7 @@ fn batch_opts() -> BatchOptions {
 
 #[test]
 fn format_version_bump_invalidates_the_store_wholesale() {
+    let _gate = PLAN_GATE.lock().unwrap();
     let dir = fresh_dir("version");
     let funcs = corpus_funcs();
     let options = StoreOptions::for_budget(&Budget::UNLIMITED);
@@ -90,6 +96,7 @@ fn format_version_bump_invalidates_the_store_wholesale() {
 
 #[test]
 fn disk_hits_match_the_in_memory_hit_set() {
+    let _gate = PLAN_GATE.lock().unwrap();
     let dir = fresh_dir("alpha");
     let funcs = corpus_funcs();
     let options = StoreOptions::for_budget(&Budget::UNLIMITED);
@@ -278,14 +285,11 @@ fn remote_refuses_local_only_store_flags() {
 /// short writes, and record corruption at a fixed seed. Served bytes
 /// must never change, and reopening must repair whatever the faults
 /// broke. Gated on the feature because production builds carry no
-/// injection hooks; the plan is process-global, so these tests take a
-/// mutex to serialize against each other.
+/// injection hooks; the plan is process-global, so these tests hold
+/// [`PLAN_GATE`] while it is armed.
 #[cfg(feature = "fault-injection")]
 mod store_chaos {
     use super::*;
-    use std::sync::Mutex;
-
-    static GATE: Mutex<()> = Mutex::new(());
 
     /// The function blocks of a rendered report, without the trailing
     /// stats line: warmth legitimately changes the true counters (the
@@ -298,7 +302,7 @@ mod store_chaos {
 
     #[test]
     fn store_faults_never_change_served_bytes() {
-        let _gate = GATE.lock().unwrap();
+        let _gate = PLAN_GATE.lock().unwrap();
         biv_faults::uninstall();
         let options = StoreOptions::for_budget(&Budget::UNLIMITED);
         let dir = fresh_dir("chaos");
@@ -373,7 +377,7 @@ mod store_chaos {
 
     #[test]
     fn corrupt_records_are_truncated_on_reopen_and_counted() {
-        let _gate = GATE.lock().unwrap();
+        let _gate = PLAN_GATE.lock().unwrap();
         biv_faults::uninstall();
         let funcs = corpus_funcs();
         let options = StoreOptions::for_budget(&Budget::UNLIMITED);
