@@ -2,10 +2,10 @@
 //!
 //! One `bivd` process holds one structural cache; this crate scales
 //! that horizontally. N daemons each run as one *shard* of a fleet
-//! (`bivd --fleet shard=K/N`), and a client-side [`Router`] fans each
-//! batch out across them, reassembling the responses into output that
-//! is **byte-identical** to a single local `bivc` run over the same
-//! files.
+//! (`bivd --fleet shard=K/N --peers ...`), and a client-side [`Router`]
+//! fans each batch out across them, reassembling the responses into
+//! output that is **byte-identical** to a single local `bivc` run over
+//! the same files.
 //!
 //! The pieces:
 //!
@@ -19,12 +19,16 @@
 //! - [`replicate`] — asynchronous R-way write-through of committed
 //!   summaries to each key's ring successors, so a killed primary's
 //!   keys are served warm from a replica;
-//! - [`router`] — batch fan-out, per-shard busy/redirect/death
-//!   handling, replica failover, and input-order reassembly (the
-//!   byte-identity lives here);
-//! - [`stats`] — fleet-wide stats aggregation and the drain/rebalance
-//!   coordinator (a departing shard's store snapshot warm-starts its
-//!   successor).
+//! - [`router`] — seed bootstrap from a membership view, batch
+//!   fan-out, per-shard busy/death handling, replica-scoped failover,
+//!   and input-order reassembly (the byte-identity lives here);
+//! - [`stats`] — fleet-wide stats aggregation.
+//!
+//! A fleet member always runs the cluster agent (`bivd --fleet
+//! shard=K/N --peers ...`); a router can only bootstrap from a
+//! membership view. A departing shard's warm handoff is the agent's
+//! job: on a graceful shutdown it preloads its store snapshot into the
+//! shards that absorb its ring ranges.
 //!
 //! Routing invariant: the structural hash partitions the summary
 //! keyspace perfectly — a function's cached summary lives under exactly
@@ -52,4 +56,4 @@ pub use membership::{AgentConfig, ClusterAgent, Member, MemberState, Membership,
 pub use replicate::Replicator;
 pub use ring::Ring;
 pub use router::{FleetConfig, FleetReport, Router};
-pub use stats::{drain_shard, fleet_stats, fleet_stats_with_timeout, DrainReport};
+pub use stats::{fleet_stats, fleet_stats_with_timeout};

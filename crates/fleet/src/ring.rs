@@ -10,8 +10,8 @@
 //!
 //! The ring is a pure function of the shard count. Router and shards
 //! never exchange it; both sides derive the same placement from `N`,
-//! which is what lets a server reject a misrouted batch with a
-//! redirect instead of silently serving it.
+//! which is what lets a server reject a batch addressed to a shard it
+//! is not (`wrong-shard`) instead of silently serving it.
 
 /// Virtual nodes per shard. 64 keeps the largest/smallest per-shard
 /// share within a few percent for small fleets while the ring stays
@@ -77,24 +77,10 @@ impl Ring {
         self.shard_count
     }
 
-    /// The shard owning `key` with every shard alive.
+    /// The shard owning `key` with every shard alive: the primary of
+    /// its replica set.
     pub fn shard_of(&self, key: u64) -> u32 {
-        self.route(key, &vec![true; self.shard_count as usize])
-            .expect("a fully-alive ring always routes")
-    }
-
-    /// The first shard clockwise from `key` that is still alive —
-    /// `shard_of` when everything is up, the failover successor when
-    /// not. `None` when no shard is alive.
-    pub fn route(&self, key: u64, alive: &[bool]) -> Option<u32> {
-        let start = self.points.partition_point(|&(point, _)| point < key);
-        for i in 0..self.points.len() {
-            let (_, shard) = self.points[(start + i) % self.points.len()];
-            if alive.get(shard as usize).copied().unwrap_or(false) {
-                return Some(shard);
-            }
-        }
-        None
+        self.successors(key, 1)[0]
     }
 
     /// The key's replica set: the first `r` *distinct* shards clockwise
@@ -118,9 +104,10 @@ impl Ring {
     }
 
     /// The first live member of `key`'s `r`-replica set, in ring order.
-    /// Unlike [`route`](Ring::route), failover is *scoped*: when every
-    /// replica of a key is dead the key is unroutable (`None`) even if
-    /// other shards are alive — those shards never saw its writes.
+    /// Failover is *scoped*: when every replica of a key is dead the key
+    /// is unroutable (`None`) even if other shards are alive — those
+    /// shards never saw its writes. With `r == shard_count` the set is
+    /// the whole ring.
     pub fn route_replica(&self, key: u64, alive: &[bool], r: u32) -> Option<u32> {
         self.successors(key, r)
             .into_iter()
@@ -189,7 +176,7 @@ mod tests {
         let total = 10_000usize;
         for key in (0..total as u64).map(mix) {
             let primary = ring.shard_of(key);
-            let routed = ring.route(key, &alive).unwrap();
+            let routed = ring.route_replica(key, &alive, 3).unwrap();
             assert_ne!(routed, 1, "dead shard never routed to");
             if primary != 1 {
                 assert_eq!(routed, primary, "live shards keep their keys");
@@ -207,7 +194,7 @@ mod tests {
     #[test]
     fn no_live_shard_routes_nothing() {
         let ring = Ring::new(2);
-        assert_eq!(ring.route(42, &[false, false]), None);
+        assert_eq!(ring.route_replica(42, &[false, false], 2), None);
     }
 
     #[test]
@@ -270,7 +257,7 @@ mod tests {
         let alive = [true, false, true];
         for key in (0..5_000u64).map(mix) {
             if ring.shard_of(key) == 1 {
-                let fallback = ring.route(key, &alive).unwrap();
+                let fallback = ring.route_replica(key, &alive, 3).unwrap();
                 assert!(succ.contains(&fallback), "{fallback} not in {succ:?}");
             }
         }

@@ -10,46 +10,37 @@
 //!          └──▶└──────── shard 2 ──────── per-file blocks ┘    line
 //! ```
 //!
-//! Routing is by content key ([`crate::ring::content_key`]) over the
-//! consistent-hash [`Ring`], so identical sources always land on the
-//! shard whose structural cache already holds their summaries. The
-//! fan-out runs in rounds: every pending file is grouped by its current
-//! shard, groups go out concurrently (one connection per group), and
-//! whatever a group's shard could not serve comes back as *pending* for
-//! the next round:
+//! **Bootstrap.** [`Router::new`] treats the configured endpoints as
+//! *seeds*: it asks each in turn for the fleet's membership view
+//! (`members` frame), and the first view answer defines the ring size,
+//! the per-shard endpoints, the initial liveness, and the replication
+//! factor R — one live seed suffices to discover the whole ring. A
+//! fleet whose shards run no membership agent cannot be routed: every
+//! seed answers `no-cluster`, and `new` fails with a hint to start
+//! `bivd` with `--peers`.
 //!
-//! - an unreachable or mid-batch-killed shard is marked dead and its
-//!   group re-routes;
-//! - a [`Response::Redirect`] teaches the router the endpoint's actual
-//!   shard identity (endpoints listed in the wrong order converge in
-//!   one extra round per misplaced pair) and the group re-sends;
-//! - a draining shard is treated as departing: dead, re-route.
+//! **Routing.** Files route by content key
+//! ([`crate::ring::content_key`]) over the consistent-hash [`Ring`], so
+//! identical sources always land on the shard whose structural cache
+//! already holds their summaries. The fan-out runs in rounds: every
+//! pending file is grouped by its current shard, groups go out
+//! concurrently (one connection per group), and a group whose shard is
+//! gone — unreachable, killed mid-batch, draining, or answering
+//! `wrong-shard` because its endpoint now hosts another shard — marks
+//! that shard dead and comes back as pending for the next round. Every
+//! re-route kills one shard, so a batch ends within `shard_count + 1`
+//! rounds.
 //!
-//! **Bootstrap.** [`Router::new`] first treats the configured endpoints
-//! as *seeds*: it asks each in turn for the fleet's membership view
-//! (`members` frame). The first view answer puts the router in
-//! *membership mode* — ring size, per-shard endpoints, initial
-//! liveness, and the replication factor R all come from the view, so
-//! one live seed suffices to discover the whole ring. A seed that
-//! answers `no-cluster` (a fleet run without membership agents) drops
-//! the router into the legacy *static mode*, where the endpoint list
-//! itself is the ring.
-//!
-//! **Failover scope.** Static mode re-routes a dead shard's files to
-//! any live ring successor — correct, but only warm by accident. In
-//! membership mode re-routing is scoped to each key's *replica set*
+//! **Failover scope.** Re-routing is scoped to each key's *replica set*
 //! (the R successors that replication actually writes to, see
 //! [`crate::replicate`]): a SIGKILLed primary's files are served warm
 //! by a replica, and a file whose **entire** replica set is dead fails
 //! as a file (`no live replica`) while the rest of the batch completes
 //! byte-identically.
 //!
-//! Every file carries an attempt budget (`shard_count` +
-//! [`FleetConfig::max_redirects`]); a file that exhausts it fails *as a
-//! file* — the batch always completes with every other file's bytes
-//! intact. Per-shard busy rejections are absorbed with the exact client
-//! backoff policy ([`biv_server::client::busy_backoff`]); a group that
-//! exhausts its backoff budget is counted in
+//! Per-shard busy rejections are absorbed with the exact client backoff
+//! policy ([`biv_server::client::busy_backoff`]); a group that exhausts
+//! its backoff budget fails its files and is counted in
 //! [`FleetReport::backoff_exhausted`] (and the process-wide ledger,
 //! [`biv_server::client::backoff_exhausted`]).
 
@@ -72,18 +63,12 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// How the router talks to its fleet.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Seed endpoints (`tcp:HOST:PORT` or a Unix socket path). With a
-    /// membership-running fleet, any one live entry bootstraps the full
-    /// ring; against an agent-less fleet this is the static shard list,
-    /// `endpoints[k]` believed to be shard `k` (a misordered list is
-    /// repaired at runtime from redirect responses).
+    /// Seed endpoints (`tcp:HOST:PORT` or a Unix socket path). Any one
+    /// live member's entry bootstraps the full ring.
     pub endpoints: Vec<String>,
     /// Cold-replay cache capacity for the stats line, exactly as
     /// `bivc --cache-cap` passes it. `None` means the default.
     pub cache_cap: Option<usize>,
-    /// Extra per-file attempts beyond one per shard before a file fails
-    /// with a give-up error.
-    pub max_redirects: u32,
     /// Busy rejections tolerated per group submission before the shard
     /// is declared saturated for those files.
     pub max_busy_retries: u32,
@@ -96,12 +81,11 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config for `endpoints` with the default retry budgets.
+    /// A config for `endpoints` with the default retry budget.
     pub fn new(endpoints: Vec<String>) -> FleetConfig {
         FleetConfig {
             endpoints,
             cache_cap: None,
-            max_redirects: 4,
             max_busy_retries: 10,
             invariants: false,
         }
@@ -124,14 +108,12 @@ pub struct FleetReport {
     /// Per-file failures: parse errors from shards, plus files the
     /// router could not place anywhere.
     pub errors: Vec<FileError>,
-    /// Redirect responses survived while converging on endpoint
-    /// identities.
-    pub redirects: u64,
     /// Busy rejections absorbed by backoff across all shards.
     pub busy_retries: u64,
     /// Group submissions that ran out of busy-backoff budget.
     pub backoff_exhausted: u64,
-    /// Shards found dead (unreachable or draining) during the batch.
+    /// Shards found dead (unreachable, draining, or no longer at their
+    /// endpoint) during the batch.
     pub dead_shards: Vec<u32>,
     /// Human-readable routing events (shard deaths and why) for the
     /// caller's stderr; never part of `output`.
@@ -147,38 +129,13 @@ enum GroupOutcome {
         analyzed: usize,
         cached: usize,
     },
-    /// The endpoint answered with its actual identity; re-route.
-    Redirected { shard_id: u32, shard_count: u32 },
-    /// The endpoint is unreachable or died mid-exchange; its files
-    /// re-route.
+    /// The shard is gone from its endpoint (unreachable, died
+    /// mid-exchange, draining, or the endpoint hosts another shard
+    /// now): mark it dead and re-route its files.
     Dead(String),
-    /// The shard is draining; treated as departing (dead, re-route).
-    Draining(String),
     /// The shard answered but unusably (busy exhaustion, protocol
     /// violation, refusal): the group's files fail, the batch goes on.
     Refused(String),
-}
-
-/// Per-file routing state while a batch is in flight.
-#[derive(Clone, Copy)]
-struct Pending {
-    /// Index into the input batch.
-    index: usize,
-    /// The file's ring position.
-    key: u64,
-    /// Submissions consumed (redirects, dead-shard re-routes). Bounded
-    /// by `shard_count + max_redirects`.
-    attempts: u32,
-}
-
-/// Where the router learned the ring, and how far failover may roam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RouteScope {
-    /// Legacy static endpoint list: failover walks the whole ring.
-    Static,
-    /// Membership bootstrap: failover is scoped to each key's R-replica
-    /// set — only those shards received the key's summaries.
-    Replicas(u32),
 }
 
 /// A connected fleet router.
@@ -186,56 +143,35 @@ enum RouteScope {
 pub struct Router {
     config: FleetConfig,
     ring: Ring,
-    /// `endpoints_by_shard[k]` = the endpoint currently believed to
-    /// host shard `k` (`None` for a member the view has no endpoint
-    /// for). Redirect responses repair misassignments by swapping.
+    /// `endpoints_by_shard[k]` = where shard `k` is served (`None` for
+    /// a shard the view has no member record for).
     endpoints_by_shard: Vec<Option<String>>,
     /// Liveness at bootstrap time; each batch starts from this and
-    /// marks further deaths as it finds them.
+    /// marks further deaths as it finds them. A shard without an
+    /// endpoint is never alive.
     initial_alive: Vec<bool>,
-    scope: RouteScope,
+    /// R: how many ring successors hold each key's summaries.
+    replicas: u32,
 }
 
 impl Router {
-    /// Builds a router over `config.endpoints`: membership mode if any
-    /// seed answers a `members` probe with a view, static mode
-    /// otherwise (see the module docs).
+    /// Builds a router from the membership view of the first seed in
+    /// `config.endpoints` that answers one (see the module docs).
     ///
     /// # Errors
-    /// With an empty endpoint list.
+    /// With an empty endpoint list, or when no seed answers with a
+    /// view — unreachable, or a `bivd` running without `--peers`.
     pub fn new(config: FleetConfig) -> Result<Router, String> {
         if config.endpoints.is_empty() {
             return Err("a fleet needs at least one endpoint".into());
         }
-        match probe_members(&config.endpoints) {
-            Some(view) => Router::from_members(config, &view),
-            None => Router::from_static(config),
-        }
+        let view = probe_members(&config.endpoints)?;
+        Router::from_members(config, &view)
     }
 
-    /// Builds a static-mode router: the endpoint list is the ring.
-    ///
-    /// # Errors
-    /// With an empty endpoint list.
-    pub fn from_static(config: FleetConfig) -> Result<Router, String> {
-        let n =
-            u32::try_from(config.endpoints.len()).map_err(|_| "too many endpoints".to_string())?;
-        if n == 0 {
-            return Err("a fleet needs at least one endpoint".into());
-        }
-        let endpoints_by_shard = config.endpoints.iter().cloned().map(Some).collect();
-        Ok(Router {
-            config,
-            ring: Ring::new(n),
-            endpoints_by_shard,
-            initial_alive: vec![true; n as usize],
-            scope: RouteScope::Static,
-        })
-    }
-
-    /// Builds a membership-mode router from a bootstrap view: ring
-    /// size, endpoints, liveness, and the replica scope all come from
-    /// the view. `config.endpoints` is kept only as the seed list.
+    /// Builds a router from a bootstrap view: ring size, endpoints,
+    /// liveness, and the replica scope all come from the view.
+    /// `config.endpoints` is kept only as the seed list.
     ///
     /// # Errors
     /// When the view describes an empty or oversized ring.
@@ -266,7 +202,7 @@ impl Router {
             ring: Ring::new(n),
             endpoints_by_shard,
             initial_alive,
-            scope: RouteScope::Replicas(view.replication.max(1)),
+            replicas: view.replication.max(1),
         })
     }
 
@@ -275,27 +211,22 @@ impl Router {
         self.ring.shard_count()
     }
 
-    /// The replica scope when bootstrapped from a membership view
-    /// (`None` in static mode).
+    /// The replica scope R from the bootstrap view (always `Some`).
     pub fn replica_scope(&self) -> Option<u32> {
-        match self.scope {
-            RouteScope::Static => None,
-            RouteScope::Replicas(r) => Some(r),
-        }
+        Some(self.replicas)
     }
 
     /// Analyzes `files` across the fleet. The returned
     /// [`FleetReport::output`] is byte-identical to a local `bivc`
     /// batch run over the same files; per-file failures (parse errors,
-    /// files no live shard — or no live replica — could take) are
-    /// reported in [`FleetReport::errors`] without disturbing the rest.
+    /// files no live replica could take) are reported in
+    /// [`FleetReport::errors`] without disturbing the rest.
     ///
     /// # Errors
     /// Only when *nothing* can be served because every shard is dead.
     /// Per-file trouble never fails the batch.
     pub fn analyze(&mut self, files: Vec<AnalyzeFile>) -> Result<FleetReport, String> {
         let n = self.shard_count();
-        let max_attempts = n + self.config.max_redirects;
         // Input-order result slots: a served per-file result, or a
         // routing-level error message.
         let mut slots: Vec<Option<Result<FleetFile, String>>> = vec![None; files.len()];
@@ -303,73 +234,38 @@ impl Router {
         let mut dead_shards: Vec<u32> = Vec::new();
         let mut notes: Vec<String> = Vec::new();
         let (mut functions, mut analyzed, mut cached) = (0usize, 0usize, 0usize);
-        let (mut redirects, mut busy_retries, mut backoff_exhausted) = (0u64, 0u64, 0u64);
+        let (mut busy_retries, mut backoff_exhausted) = (0u64, 0u64);
 
-        let mut pending: Vec<Pending> = files
-            .iter()
-            .enumerate()
-            .map(|(index, f)| Pending {
-                index,
-                key: content_key(&f.source),
-                attempts: 0,
-            })
-            .collect();
+        let keys: Vec<u64> = files.iter().map(|f| content_key(&f.source)).collect();
+        let mut pending: Vec<usize> = (0..files.len()).collect();
 
+        // Each round either finishes every pending file or marks at
+        // least one more shard dead, so this loop runs at most n + 1
+        // times.
         while !pending.is_empty() {
             if !alive.iter().any(|&a| a) {
-                for p in pending.drain(..) {
-                    slots[p.index] = Some(Err(format!(
+                for index in pending.drain(..) {
+                    slots[index] = Some(Err(format!(
                         "no live shard left in the fleet ({n} configured, all dead)"
                     )));
                 }
                 break;
             }
 
-            // Group this round's files by their current shard. BTreeMap
-            // keeps the fan-out order deterministic.
-            let mut routed: Vec<Pending> = Vec::with_capacity(pending.len());
+            // Group this round's files by the first live member of
+            // their replica set. BTreeMap keeps the fan-out order
+            // deterministic.
             let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for p in std::mem::take(&mut pending) {
-                if p.attempts >= max_attempts {
-                    slots[p.index] = Some(Err(format!(
-                        "gave up after {} attempts (redirect loop or unstable fleet)",
-                        p.attempts
-                    )));
-                    continue;
-                }
-                let shard = match self.scope {
-                    // A live shard exists (checked above), so static
-                    // routing always hits.
-                    RouteScope::Static => self.ring.route(p.key, &alive),
-                    // Replica-scoped: only the R shards that hold this
-                    // key's summaries are candidates.
-                    RouteScope::Replicas(r) => self.ring.route_replica(p.key, &alive, r),
-                };
-                let Some(shard) = shard else {
-                    slots[p.index] = Some(Err(
-                        "no live replica: this file's primary and every replica are dead".into(),
-                    ));
-                    continue;
-                };
-                if self.endpoints_by_shard[shard as usize].is_none() {
-                    // Membership never met this shard; treat as dead and
-                    // retry the file against the rest of its set.
-                    if alive[shard as usize] {
-                        alive[shard as usize] = false;
-                        dead_shards.push(shard);
-                        notes.push(format!("shard {shard} has no known endpoint, skipping"));
+            for index in std::mem::take(&mut pending) {
+                match self.ring.route_replica(keys[index], &alive, self.replicas) {
+                    Some(shard) => groups.entry(shard).or_default().push(index),
+                    None => {
+                        slots[index] = Some(Err(
+                            "no live replica: this file's primary and every replica are dead"
+                                .into(),
+                        ));
                     }
-                    pending.push(Pending {
-                        attempts: p.attempts + 1,
-                        ..p
-                    });
-                    continue;
                 }
-                groups.entry(shard).or_default().push(routed.len());
-                routed.push(p);
-            }
-            if routed.is_empty() {
-                continue;
             }
 
             // Fan the groups out, one connection per shard group.
@@ -379,20 +275,13 @@ impl Router {
                         .into_iter()
                         .map(|(shard, members)| {
                             let endpoint = self.endpoints_by_shard[shard as usize]
-                                .clone()
-                                .expect("groups only form over known endpoints");
-                            let payload: Vec<AnalyzeFile> = members
-                                .iter()
-                                .map(|&m| files[routed[m].index].clone())
-                                .collect();
-                            let cache_cap = self.config.cache_cap;
-                            let max_busy = self.config.max_busy_retries;
-                            let invariants = self.config.invariants;
-                            let handle = scope.spawn(move || {
-                                submit_group(
-                                    &endpoint, shard, n, payload, cache_cap, max_busy, invariants,
-                                )
-                            });
+                                .as_deref()
+                                .expect("only shards with an endpoint start alive");
+                            let payload: Vec<AnalyzeFile> =
+                                members.iter().map(|&i| files[i].clone()).collect();
+                            let config = &self.config;
+                            let handle = scope
+                                .spawn(move || submit_group(endpoint, shard, n, payload, config));
                             (shard, members, handle)
                         })
                         .collect();
@@ -427,71 +316,31 @@ impl Router {
                                 results.len(),
                                 members.len()
                             );
-                            for &m in &members {
-                                slots[routed[m].index] = Some(Err(reason.clone()));
+                            for &i in &members {
+                                slots[i] = Some(Err(reason.clone()));
                             }
                             continue;
                         }
                         functions += f;
                         analyzed += a;
                         cached += c;
-                        for (&m, result) in members.iter().zip(results) {
-                            slots[routed[m].index] = Some(Ok(result));
+                        for (&i, result) in members.iter().zip(results) {
+                            slots[i] = Some(Ok(result));
                         }
                     }
-                    GroupOutcome::Redirected {
-                        shard_id,
-                        shard_count,
-                    } => {
-                        redirects += 1;
-                        if shard_count != n {
-                            for &m in &members {
-                                slots[routed[m].index] = Some(Err(format!(
-                                    "shard disagreement: server believes the fleet is \
-                                     {shard_count} shards, router routed for {n}"
-                                )));
-                            }
-                            continue;
-                        }
-                        if shard_id >= n {
-                            for &m in &members {
-                                slots[routed[m].index] = Some(Err(format!(
-                                    "protocol error: redirect to shard {shard_id} of {n}"
-                                )));
-                            }
-                            continue;
-                        }
-                        // The endpoint we believed was `shard` is really
-                        // `shard_id`. Swap the two beliefs: a merely
-                        // permuted list fixes at least one pair per
-                        // round and converges.
-                        self.endpoints_by_shard
-                            .swap(shard as usize, shard_id as usize);
-                        for &m in &members {
-                            pending.push(Pending {
-                                attempts: routed[m].attempts + 1,
-                                ..routed[m]
-                            });
-                        }
-                    }
-                    GroupOutcome::Dead(reason) | GroupOutcome::Draining(reason) => {
-                        if alive[shard as usize] {
-                            alive[shard as usize] = false;
-                            dead_shards.push(shard);
-                            notes.push(format!(
-                                "shard {shard} marked dead, re-routing its files: {reason}"
-                            ));
-                        }
-                        for &m in &members {
-                            pending.push(Pending {
-                                attempts: routed[m].attempts + 1,
-                                ..routed[m]
-                            });
-                        }
+                    GroupOutcome::Dead(reason) => {
+                        // Groups form only over live shards, one group
+                        // per shard, so this death is new.
+                        alive[shard as usize] = false;
+                        dead_shards.push(shard);
+                        notes.push(format!(
+                            "shard {shard} marked dead, re-routing its files: {reason}"
+                        ));
+                        pending.extend(members);
                     }
                     GroupOutcome::Refused(reason) => {
-                        for &m in &members {
-                            slots[routed[m].index] = Some(Err(reason.clone()));
+                        for &i in &members {
+                            slots[i] = Some(Err(reason.clone()));
                         }
                     }
                 }
@@ -552,7 +401,6 @@ impl Router {
             analyzed,
             cached,
             errors,
-            redirects,
             busy_retries,
             backoff_exhausted,
             dead_shards,
@@ -561,27 +409,36 @@ impl Router {
     }
 }
 
-/// Probes the seed endpoints in order for a membership view. The first
-/// view answer wins; a `no-cluster` answer proves this fleet runs no
-/// agents, so probing stops and static mode takes over immediately.
-fn probe_members(seeds: &[String]) -> Option<View> {
+/// Probes the seed endpoints in order for a membership view; the first
+/// view answer wins.
+///
+/// # Errors
+/// When no seed answers with a view, listing why each one did not.
+fn probe_members(seeds: &[String]) -> Result<View, String> {
+    let mut why: Vec<String> = Vec::new();
     for seed in seeds {
-        let Ok(mut client) = Client::connect_timeout(&Endpoint::parse(seed), PROBE_TIMEOUT) else {
-            continue;
-        };
-        match client.request(&Request::Members) {
+        let answer = Client::connect_timeout(&Endpoint::parse(seed), PROBE_TIMEOUT)
+            .and_then(|mut client| client.request(&Request::Members));
+        why.push(match answer {
             Ok(Response::Members { view } | Response::Gossip { view }) => {
-                if let Ok(view) = View::from_json(&view) {
-                    if view.shard_count > 0 {
-                        return Some(view);
-                    }
+                match View::from_json(&view) {
+                    Ok(view) if view.shard_count > 0 => return Ok(view),
+                    Ok(_) => format!("{seed} answered an empty view"),
+                    Err(e) => format!("{seed} answered a malformed view: {e}"),
                 }
             }
-            Ok(Response::Error { kind, .. }) if kind == "no-cluster" => return None,
-            _ => continue,
-        }
+            Ok(Response::Error { kind, .. }) if kind == "no-cluster" => format!(
+                "{seed} runs no membership agent (start bivd with --peers; \
+                 `--peers none` for the first shard)"
+            ),
+            Ok(other) => format!("{seed} answered out of protocol: {other:?}"),
+            Err(e) => format!("{seed}: {e}"),
+        });
     }
-    None
+    Err(format!(
+        "no seed answered with a membership view: {}",
+        why.join("; ")
+    ))
 }
 
 /// Sends one shard group and classifies the exchange, returning the
@@ -593,9 +450,7 @@ fn submit_group(
     shard: u32,
     shard_count: u32,
     payload: Vec<AnalyzeFile>,
-    cache_cap: Option<usize>,
-    max_busy_retries: u32,
-    invariants: bool,
+    config: &FleetConfig,
 ) -> (GroupOutcome, u64, bool) {
     if faults::fire("fleet.shard.unreachable") {
         return (
@@ -617,11 +472,12 @@ fn submit_group(
     };
     let request = Request::AnalyzeFleet {
         files: payload,
-        cache_cap,
+        cache_cap: config.cache_cap,
         shard_id: shard,
         shard_count,
-        invariants,
+        invariants: config.invariants,
     };
+    let max_busy_retries = config.max_busy_retries;
     let mut attempt = 0u32;
     loop {
         let mut exhausted = false;
@@ -637,14 +493,6 @@ fn submit_group(
                 analyzed,
                 cached,
             },
-            Ok(Response::Redirect {
-                shard_id,
-                shard_count,
-                ..
-            }) => GroupOutcome::Redirected {
-                shard_id,
-                shard_count,
-            },
             Ok(Response::Busy { retry_after_ms }) => {
                 attempt += 1;
                 if attempt > max_busy_retries {
@@ -659,8 +507,13 @@ fn submit_group(
                     continue;
                 }
             }
-            Ok(Response::Error { kind, message }) if kind == "draining" => {
-                GroupOutcome::Draining(format!("shard {shard} is draining: {message}"))
+            // Draining: the shard is departing. Wrong shard: the
+            // endpoint no longer hosts this shard (a restart reused
+            // it). Either way the shard is gone from here.
+            Ok(Response::Error { kind, message })
+                if kind == "draining" || kind == "wrong-shard" =>
+            {
+                GroupOutcome::Dead(format!("shard {shard} answered {kind}: {message}"))
             }
             Ok(Response::Error { kind, message }) => {
                 GroupOutcome::Refused(format!("shard {shard} refused ({kind}): {message}"))
@@ -727,6 +580,30 @@ mod tests {
         (endpoint, handle, flag)
     }
 
+    /// A router over `config.endpoints` as a converged view would
+    /// describe them: shard `k` alive at `endpoints[k]`, replication
+    /// factor `r`.
+    fn member_router(config: FleetConfig, r: u32) -> Router {
+        let members = config
+            .endpoints
+            .iter()
+            .enumerate()
+            .map(|(k, endpoint)| Member {
+                shard_id: k as u32,
+                endpoint: endpoint.clone(),
+                incarnation: 1,
+                state: MemberState::Alive,
+            })
+            .collect();
+        let view = View {
+            version: 1,
+            shard_count: config.endpoints.len() as u32,
+            replication: r,
+            members,
+        };
+        Router::from_members(config, &view).expect("router from view")
+    }
+
     /// What a local `bivc` batch run prints for `files` — the bytes the
     /// router must reproduce.
     fn local_output(files: &[AnalyzeFile], cap: usize) -> String {
@@ -782,8 +659,8 @@ mod tests {
 
         let mut config = FleetConfig::new(endpoints);
         config.cache_cap = Some(4);
-        let mut router = Router::new(config).unwrap();
-        assert_eq!(router.replica_scope(), None, "agent-less fleet is static");
+        let mut router = member_router(config, 2);
+        assert_eq!(router.replica_scope(), Some(2), "R comes from the view");
         let report = router.analyze(files.clone()).unwrap();
 
         assert_eq!(report.output, local_output(&files, 4));
@@ -814,7 +691,7 @@ mod tests {
 
         let mut config = FleetConfig::new(endpoints);
         config.invariants = true;
-        let mut router = Router::new(config).unwrap();
+        let mut router = member_router(config, 2);
         let want = local_output_with(&files, 4096, true);
         assert!(
             want.contains("invariant: "),
@@ -833,33 +710,10 @@ mod tests {
     }
 
     #[test]
-    fn permuted_endpoints_converge_via_redirects() {
-        let shards: Vec<_> = (0..3).map(|k| spawn_shard(k, 3)).collect();
-        // Hand the router the endpoints rotated by one: every shard it
-        // addresses answers with a redirect until the mapping is
-        // repaired.
-        let endpoints: Vec<String> = (0..3).map(|i| shards[(i + 1) % 3].0.clone()).collect();
-        let files: Vec<AnalyzeFile> = (0..4)
-            .map(|i| AnalyzeFile {
-                path: format!("mem/{i}.biv"),
-                source: format!("func f{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
-            })
-            .collect();
-
-        let mut router = Router::new(FleetConfig::new(endpoints)).unwrap();
-        let report = router.analyze(files.clone()).unwrap();
-
-        assert!(report.redirects > 0, "rotation must trigger redirects");
-        assert!(report.errors.is_empty(), "{:?}", report.errors);
-        assert_eq!(report.output, local_output(&files, 4096));
-        stop(shards);
-    }
-
-    #[test]
     fn dead_shard_fails_over_to_successors() {
         // Shard 1's endpoint refuses connections; its files must land
         // on ring successors, and the output must still match a local
-        // run exactly.
+        // run exactly. R=3 makes every shard a replica of every key.
         let s0 = spawn_shard(0, 3);
         let s2 = spawn_shard(2, 3);
         let endpoints = vec![s0.0.clone(), refused_endpoint(), s2.0.clone()];
@@ -870,7 +724,7 @@ mod tests {
             })
             .collect();
 
-        let mut router = Router::new(FleetConfig::new(endpoints)).unwrap();
+        let mut router = member_router(FleetConfig::new(endpoints), 3);
         let report = router.analyze(files.clone()).unwrap();
 
         assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -894,7 +748,7 @@ mod tests {
                 source: "func broken(".to_string(),
             },
         ];
-        let mut router = Router::new(FleetConfig::new(vec![shard.0.clone()])).unwrap();
+        let mut router = member_router(FleetConfig::new(vec![shard.0.clone()]), 1);
         let report = router.analyze(files).unwrap();
         assert_eq!(report.errors.len(), 1);
         assert!(report.errors[0].message.contains("parse error"));
@@ -905,7 +759,7 @@ mod tests {
 
     #[test]
     fn all_shards_dead_is_a_batch_error() {
-        let mut router = Router::new(FleetConfig::new(vec![refused_endpoint()])).unwrap();
+        let mut router = member_router(FleetConfig::new(vec![refused_endpoint()]), 1);
         let err = router
             .analyze(vec![AnalyzeFile {
                 path: "x.biv".into(),
@@ -918,7 +772,7 @@ mod tests {
     #[test]
     fn empty_batch_renders_the_zero_stats_line() {
         let shard = spawn_shard(0, 1);
-        let mut router = Router::new(FleetConfig::new(vec![shard.0.clone()])).unwrap();
+        let mut router = member_router(FleetConfig::new(vec![shard.0.clone()]), 1);
         let report = router.analyze(Vec::new()).unwrap();
         assert_eq!(
             report.output,

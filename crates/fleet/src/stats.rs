@@ -1,4 +1,4 @@
-//! Fleet-wide observability and the drain/rebalance coordinator.
+//! Fleet-wide observability.
 //!
 //! [`fleet_stats`] polls every shard's `stats` endpoint and folds the
 //! snapshots into one object: counter sections (`requests`, `queue`,
@@ -7,25 +7,8 @@
 //! count-weighted averages of the shard percentiles — the summaries do
 //! not carry enough to merge them exactly, and the approximation is
 //! what the raw per-shard snapshots, also included, let you check).
-//!
-//! [`drain_shard`] drives the warm-handoff half of a rebalance:
-//!
-//! ```text
-//! departing shard                      successor shard
-//!   shutdown ──▶ drain ──▶ flush store
-//!                              │
-//!                  (poll until the endpoint refuses)
-//!                              │
-//!                              └──▶ preload DIR ──▶ cache committed
-//! ```
-//!
-//! The poll between shutdown and preload matters: the departing `bivd`
-//! fsyncs its store *after* its drain completes, so preloading the
-//! snapshot before the process is gone could read a half-flushed index.
-//! Once the successor acks the preload, every summary the departing
-//! shard had computed is served warm from its successor.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use biv_server::net::Endpoint;
 use biv_server::{Client, Json, Request, Response};
@@ -224,109 +207,10 @@ fn shard_stats(endpoint: &str, timeout: Duration) -> Result<Json, String> {
     }
 }
 
-/// What a completed drain/rebalance did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainReport {
-    /// The departing shard acknowledged shutdown.
-    pub acknowledged: bool,
-    /// The departing endpoint stopped answering within the wait budget
-    /// (its store flush is complete once this is true).
-    pub departed: bool,
-    /// Summaries the successor committed from the snapshot.
-    pub loaded: usize,
-}
-
-/// Drains the shard at `endpoints[shard]` and warm-hands its store
-/// snapshot at `store_dir` to `endpoints[successor]`: shutdown, wait
-/// (up to `wait`) for the endpoint to actually go away — which is when
-/// the departing `bivd` has flushed its store — then preload the
-/// successor from the snapshot directory.
-///
-/// # Errors
-/// Bad indices, an unreachable departing shard (nothing to drain), a
-/// refused shutdown, a still-listening endpoint after `wait`, or a
-/// failed preload. A successful run always means the successor serves
-/// the departed shard's summaries warm.
-pub fn drain_shard(
-    endpoints: &[String],
-    shard: usize,
-    store_dir: &str,
-    successor: usize,
-    wait: Duration,
-) -> Result<DrainReport, String> {
-    if shard >= endpoints.len() || successor >= endpoints.len() {
-        return Err(format!(
-            "shard indices out of range: {shard} and {successor} of {}",
-            endpoints.len()
-        ));
-    }
-    if shard == successor {
-        return Err("a shard cannot hand off to itself".into());
-    }
-
-    // 1. Ask the departing shard to drain.
-    let departing = Endpoint::parse(&endpoints[shard]);
-    let mut client = Client::connect(&departing)
-        .map_err(|e| format!("cannot reach departing shard {shard}: {e}"))?;
-    match client.request(&Request::Shutdown) {
-        Ok(Response::ShutdownAck) => {}
-        Ok(other) => return Err(format!("shard {shard} refused shutdown: {other:?}")),
-        Err(e) => return Err(format!("shutdown request to shard {shard} failed: {e}")),
-    }
-    drop(client);
-
-    // 2. Wait for it to leave — connection refused means the process is
-    // gone and its store flush (fsync + index snapshot) is durable.
-    let deadline = Instant::now() + wait;
-    let mut departed = false;
-    loop {
-        match Client::connect(&departing) {
-            Err(_) => {
-                departed = true;
-                break;
-            }
-            Ok(_) => {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-    if !departed {
-        return Err(format!(
-            "shard {shard} still listening after {wait:?}; not preloading a possibly \
-             unflushed snapshot"
-        ));
-    }
-
-    // 3. Warm the successor from the snapshot.
-    let succ = Endpoint::parse(&endpoints[successor]);
-    let mut client = Client::connect(&succ)
-        .map_err(|e| format!("cannot reach successor shard {successor}: {e}"))?;
-    match client.request(&Request::Preload {
-        dir: store_dir.to_string(),
-    }) {
-        Ok(Response::PreloadAck { loaded }) => Ok(DrainReport {
-            acknowledged: true,
-            departed: true,
-            loaded,
-        }),
-        Ok(Response::Error { kind, message }) => Err(format!(
-            "successor {successor} preload failed ({kind}): {message}"
-        )),
-        Ok(other) => Err(format!(
-            "successor {successor} answered preload out of protocol: {other:?}"
-        )),
-        Err(e) => Err(format!(
-            "preload request to successor {successor} failed: {e}"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn window(count: i64, mean: i64, p50: i64, max: i64) -> Json {
         Json::obj(vec![
@@ -397,12 +281,5 @@ mod tests {
             started.elapsed()
         );
         hold.join().unwrap();
-    }
-
-    #[test]
-    fn drain_validates_indices() {
-        let eps = vec!["tcp:127.0.0.1:1".into(), "tcp:127.0.0.1:2".into()];
-        assert!(drain_shard(&eps, 5, "/tmp/x", 0, Duration::from_millis(1)).is_err());
-        assert!(drain_shard(&eps, 0, "/tmp/x", 0, Duration::from_millis(1)).is_err());
     }
 }

@@ -6,8 +6,8 @@
 //! surface the fleet layer needs: answer gossip/members frames, observe
 //! committed summaries (so they can be written through to replicas),
 //! contribute stats sections, and run the departure handoff once drain
-//! has flushed the store. A server started without a cluster agent
-//! (`bivd` without `--peers`, every pre-fleet deployment, unit tests)
+//! has flushed the store. A server started without a cluster agent (a
+//! lone `bivd` without `--peers`, unit tests) is no fleet member: it
 //! answers membership ops with a `no-cluster` error and skips the rest.
 
 use std::fmt;

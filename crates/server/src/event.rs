@@ -14,7 +14,7 @@
 //!
 //! ```text
 //!   readable ──→ read_buf ──(full frame? no job in flight?)──→ decode
-//!      decode ──→ inline (ping/stats/shutdown/redirect): bytes queued
+//!      decode ──→ inline (ping/stats/shutdown/wrong-shard): bytes queued
 //!             └─→ queued job: `pending = seq`, decode pauses
 //!   completion (worker, via eventfd) ──(seq matches?)──→ bytes queued
 //!                                        └─ stale ──→ late_results

@@ -21,9 +21,10 @@
 //!
 //! Failure responses are `{"ok":false,"error":KIND,…}`; the `busy`
 //! kind additionally carries `retry_after_ms` — the server's explicit
-//! backpressure signal — and the `redirect` kind carries the answering
-//! shard's actual `shard_id`/`shard_count` so a fleet router can
-//! re-route a batch that reached the wrong shard.
+//! backpressure signal. A fleet batch addressed to a shard identity the
+//! server does not hold answers the `wrong-shard` kind, which a fleet
+//! router treats like `draining`: that shard is gone from this
+//! endpoint.
 //!
 //! The fleet variant of analyze differs from the plain one in exactly
 //! one way: instead of a single rendered report ending in a stats line,
@@ -87,7 +88,7 @@ pub enum Request {
         /// one) replays the same capacity the router would.
         cache_cap: Option<usize>,
         /// The shard identity the router believes it is addressing; a
-        /// mismatch answers [`Response::Redirect`] instead of serving.
+        /// mismatch answers a `wrong-shard` error instead of serving.
         shard_id: u32,
         /// The fleet size the router routed against.
         shard_count: u32,
@@ -215,16 +216,6 @@ pub enum Response {
     Busy {
         /// Suggested client-side delay before retrying.
         retry_after_ms: u64,
-    },
-    /// A fleet request addressed the wrong shard: this server's actual
-    /// identity, so the router can repair its view and re-route.
-    Redirect {
-        /// The answering server's configured shard id.
-        shard_id: u32,
-        /// The answering server's configured fleet size.
-        shard_count: u32,
-        /// Human-readable detail.
-        message: String,
     },
     /// Any other failure.
     Error {
@@ -588,17 +579,6 @@ impl Response {
                 ("error", Json::Str("busy".into())),
                 ("retry_after_ms", Json::Int(*retry_after_ms as i64)),
             ]),
-            Response::Redirect {
-                shard_id,
-                shard_count,
-                message,
-            } => Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("error", Json::Str("redirect".into())),
-                ("shard_id", Json::Int(i64::from(*shard_id))),
-                ("shard_count", Json::Int(i64::from(*shard_count))),
-                ("message", Json::Str(message.clone())),
-            ]),
             Response::Error { kind, message } => Json::obj(vec![
                 ("ok", Json::Bool(false)),
                 ("error", Json::Str(kind.clone())),
@@ -628,17 +608,6 @@ impl Response {
                     .unwrap_or(50)
                     .max(0) as u64;
                 return Ok(Response::Busy { retry_after_ms });
-            }
-            if kind == "redirect" {
-                return Ok(Response::Redirect {
-                    shard_id: decode_u32(&json, "shard_id")?,
-                    shard_count: decode_u32(&json, "shard_count")?,
-                    message: json
-                        .get("message")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                });
             }
             let message = json
                 .get("message")
@@ -938,11 +907,6 @@ mod tests {
                 view: Json::obj(vec![("members", Json::Arr(vec![]))]),
             },
             Response::ReplicateAck { stored: 9 },
-            Response::Redirect {
-                shard_id: 1,
-                shard_count: 3,
-                message: "this server is shard 1/3, not 0/3".into(),
-            },
         ];
         for r in resps {
             assert_eq!(Response::decode(&r.encode()).unwrap(), r);
@@ -957,9 +921,8 @@ mod tests {
         assert!(Request::decode(br#"{"op":"analyze"}"#).is_err());
         assert!(Response::decode(br#"{"op":"pong"}"#).is_err());
         assert!(Request::decode(&[0xff, 0xfe]).is_err());
-        // Fleet frames: missing identity, non-hex hashes, and a
-        // redirect without its shard fields all fail as protocol
-        // errors, never as panics or silent defaults.
+        // Fleet frames: missing identity and non-hex hashes fail as
+        // protocol errors, never as panics or silent defaults.
         assert!(Request::decode(br#"{"op":"analyze_fleet","files":[]}"#).is_err());
         assert!(Request::decode(br#"{"op":"preload"}"#).is_err());
         // The invariants op shares analyze's shape and its failure
@@ -973,7 +936,6 @@ mod tests {
             br#"{"ok":true,"op":"analyze_fleet","files":[{"path":"x","output":"","hashes":["zz"]}],"functions":0,"analyzed":0,"cached":0}"#
         )
         .is_err());
-        assert!(Response::decode(br#"{"ok":false,"error":"redirect"}"#).is_err());
         assert!(Response::decode(br#"{"ok":true,"op":"preload"}"#).is_err());
         // Membership and replication frames: a gossip without a view
         // (or with a view that has no member list), replica entries

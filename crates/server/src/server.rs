@@ -824,7 +824,7 @@ pub(crate) enum Routed {
 }
 
 /// Classifies a request: inline (ping/stats/shutdown, and fleet
-/// requests that reached the wrong shard → redirect) or queued. Shared
+/// requests that reached the wrong shard → `wrong-shard`) or queued. Shared
 /// by both front-ends so they serve identical semantics.
 pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
     let inline = |response| Routed::Inline {
@@ -858,11 +858,11 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
             if shard_id != config.shard_id || shard_count != config.shard_count {
                 // Don't serve a batch routed under the wrong fleet
                 // view: the router's cache locality (and its stats
-                // attribution) depend on its map being right. Answer
-                // with our real identity so it can repair and re-route.
-                inline(Response::Redirect {
-                    shard_id: config.shard_id,
-                    shard_count: config.shard_count,
+                // attribution) depend on its map being right. The
+                // router marks the shard it meant as gone from this
+                // endpoint and re-routes within the replica set.
+                inline(Response::Error {
+                    kind: "wrong-shard".into(),
                     message: format!(
                         "this server is shard {}/{}, not {shard_id}/{shard_count}",
                         config.shard_id, config.shard_count
@@ -902,8 +902,8 @@ pub(crate) fn route_request(shared: &Shared<'_>, request: Request) -> Routed {
 }
 
 /// The rejection for membership ops on a server with no cluster agent.
-/// Routers probe with `members` to decide between seed-bootstrap and
-/// static-list modes, so the kind is load-bearing.
+/// A router bootstrapping from such a seed fails with a `--peers` hint,
+/// so the kind is load-bearing.
 fn no_cluster_response() -> Response {
     Response::Error {
         kind: "no-cluster".into(),
@@ -1481,7 +1481,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_analyze_returns_blocks_and_redirects_wrong_identity() {
+    fn fleet_analyze_returns_blocks_and_rejects_wrong_identity() {
         let mut config = ServerConfig::new(Endpoint::Tcp(String::new()));
         config.workers = 1;
         config.shard_id = 1;
@@ -1489,8 +1489,8 @@ mod tests {
         let (endpoint, handle) = spawn_server(config);
         let mut client = Client::connect(&Endpoint::parse(&endpoint)).unwrap();
 
-        // A batch routed under the wrong fleet view is redirected, not
-        // served.
+        // A batch routed under the wrong fleet view is rejected as
+        // `wrong-shard`, not served.
         let response = client
             .request(&Request::AnalyzeFleet {
                 files: files(1),
@@ -1500,15 +1500,11 @@ mod tests {
                 invariants: false,
             })
             .unwrap();
-        let Response::Redirect {
-            shard_id,
-            shard_count,
-            ..
-        } = response
-        else {
-            panic!("expected redirect, got {response:?}");
+        let Response::Error { kind, message } = response else {
+            panic!("expected a wrong-shard error, got {response:?}");
         };
-        assert_eq!((shard_id, shard_count), (1, 3));
+        assert_eq!(kind, "wrong-shard");
+        assert!(message.contains("shard 1/3, not 0/3"), "{message}");
 
         // The right identity gets per-file blocks plus hashes and no
         // stats line — the router renders that itself.

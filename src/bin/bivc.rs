@@ -7,7 +7,7 @@
 //! bivc --cache-dir DIR FILE|DIR...        # batch with a durable analysis store
 //! bivc --stats-json PATH ...              # machine-readable batch/cache counters
 //! bivc --remote ENDPOINT FILE|DIR...      # submit the batch to a running bivd
-//! bivc --fleet EP1,EP2,... FILE|DIR...    # shard the batch across a bivd fleet
+//! bivc --fleet SEED[,SEED...] FILE|DIR... # shard the batch across a bivd fleet
 //! bivc --optimize FILE|DIR...             # IV-driven transformations, validated
 //! bivc --demo                             # run the built-in Figure 1 demo
 //! ```
@@ -52,12 +52,14 @@
 //! stdout bytes are identical to a local run over the same files — the
 //! daemon's warm cache changes latency, never output.
 //!
-//! `--fleet EP1,EP2,...` shards the batch across an N-shard `bivd`
-//! fleet (each started with `bivd --fleet shard=K/N`): files route by
-//! consistent hashing on content, shard failures re-route to ring
-//! successors, and the reassembled stdout is *still* byte-identical to
-//! a local run. A file no live shard can serve fails individually on
-//! stderr; the rest of the batch is unaffected.
+//! `--fleet SEED[,SEED...]` shards the batch across an N-shard `bivd`
+//! fleet (each member started with `bivd --fleet shard=K/N --peers
+//! ...`): the ring comes from the membership view of the first seed
+//! that answers, files route by consistent hashing on content, a dead
+//! shard's files re-route within their replica set, and the
+//! reassembled stdout is *still* byte-identical to a local run. A file
+//! no live replica can serve fails individually on stderr; the rest of
+//! the batch is unaffected.
 //!
 //! `--invariants` adds machine-checked per-loop polynomial invariants
 //! (e.g. `2*s - i^2 + i = 0`) to the grouped batch report. Invariants
@@ -104,7 +106,7 @@ struct Options {
     paths: Vec<String>,
 }
 
-const USAGE: &str = "usage: bivc [--ssa] [--classes] [--deps] [--trip-counts] [--classic] [--dot] [--time] FILE\n       bivc [--jobs N] [--batch] [--invariants] [--cache-cap N] [--cache-dir DIR] [--stats-json PATH] [--time] FILE|DIR...\n       bivc --remote ENDPOINT [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --fleet EP1,EP2,... [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --optimize [--jobs N] [--stats-json PATH] FILE|DIR...\n       bivc --demo\n\nrobustness knobs (any mode):\n       --budget time=MS,nodes=N,scc=N,order=N   degrade to `unknown` past these caps\n       --faults seed=N,profile=NAME             deterministic fault injection\n                                                (needs a fault-injection build)";
+const USAGE: &str = "usage: bivc [--ssa] [--classes] [--deps] [--trip-counts] [--classic] [--dot] [--time] FILE\n       bivc [--jobs N] [--batch] [--invariants] [--cache-cap N] [--cache-dir DIR] [--stats-json PATH] [--time] FILE|DIR...\n       bivc --remote ENDPOINT [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --fleet SEED[,SEED...] [--invariants] [--cache-cap N] FILE|DIR...\n       bivc --optimize [--jobs N] [--stats-json PATH] FILE|DIR...\n       bivc --demo\n\nrobustness knobs (any mode):\n       --budget time=MS,nodes=N,scc=N,order=N   degrade to `unknown` past these caps\n       --faults seed=N,profile=NAME             deterministic fault injection\n                                                (needs a fault-injection build)";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -713,8 +715,8 @@ fn run_batch_remote(
 /// Shards the batch across a `bivd` fleet via the consistent-hash
 /// router. The stdout bytes match a local run exactly — files are
 /// reassembled in input order and the stats line is replayed cold over
-/// the whole batch — while shard deaths, redirects, and per-file
-/// failures surface on stderr.
+/// the whole batch — while shard deaths and per-file failures surface
+/// on stderr.
 fn run_batch_fleet(
     opts: &Options,
     endpoints: &str,
@@ -741,14 +743,14 @@ fn run_batch_fleet(
             Err(e) => errors.push(format!("cannot read `{path}`: {e}")),
         }
     }
-    let shard_count = endpoints.len();
     let mut config = FleetConfig::new(endpoints);
     config.cache_cap = opts.cache_cap;
     config.invariants = opts.invariants;
     let mut router = Router::new(config)?;
     eprintln!(
-        "analyzing {} files across {shard_count} shards",
-        payload.len()
+        "analyzing {} files across {} shards",
+        payload.len(),
+        router.shard_count()
     );
     let report = router.analyze(payload)?;
     for note in &report.notes {

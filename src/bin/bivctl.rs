@@ -5,7 +5,6 @@
 //! bivctl members SEED [--timeout-ms N]             # the seed's membership view (JSON)
 //! bivctl join SEED --endpoint EP [--timeout-ms N]  # bridge two membership groups
 //! bivctl leave SEED --shard K [--wait-ms N]        # retire one shard gracefully
-//! bivctl drain EP1,EP2,... --shard K --store DIR --successor J [--wait-ms N]
 //! ```
 //!
 //! `stats` polls every shard and prints one JSON object: summed counter
@@ -22,23 +21,18 @@
 //! from the seed's view and sends it a graceful shutdown; the departing
 //! daemon's own cluster agent hands its store snapshot to the shards
 //! that absorb its ring ranges, so no operator-side preload is needed.
-//!
-//! `drain` retires one shard with a warm handoff *without* a membership
-//! agent: it sends the shard a graceful shutdown, waits for the
-//! endpoint to actually go away (which is when the departing daemon has
-//! flushed its store snapshot), then tells the successor to preload the
-//! snapshot directory — so every summary the departed shard had
-//! computed is served warm by its successor. The departing shard must
-//! have been running with `--cache-dir DIR`, and `DIR` must be readable
-//! by the successor.
+//! `leave` returns once the endpoint refuses connections, which happens
+//! as soon as the daemon starts draining; it finishes its accepted
+//! work, flushes its store, and does that handoff before its process
+//! exits.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use biv::fleet::{drain_shard, fleet_stats_with_timeout, View};
+use biv::fleet::{fleet_stats_with_timeout, View};
 use biv::server::{Client, Endpoint, Request, Response};
 
-const USAGE: &str = "usage: bivctl stats EP1,EP2,... [--timeout-ms N]\n       bivctl members SEED [--timeout-ms N]\n       bivctl join SEED --endpoint EP [--timeout-ms N]\n       bivctl leave SEED --shard K [--wait-ms N] [--timeout-ms N]\n       bivctl drain EP1,EP2,... --shard K --store DIR --successor J [--wait-ms N]";
+const USAGE: &str = "usage: bivctl stats EP1,EP2,... [--timeout-ms N]\n       bivctl members SEED [--timeout-ms N]\n       bivctl join SEED --endpoint EP [--timeout-ms N]\n       bivctl leave SEED --shard K [--wait-ms N] [--timeout-ms N]";
 
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -188,8 +182,8 @@ fn run_leave(args: &[String]) -> Result<(), String> {
         Err(e) => return Err(format!("shutdown of shard {shard} failed: {e}")),
     }
     drop(client);
-    // Wait for the endpoint to actually go away: that is when the
-    // departing daemon has flushed its store and handed off snapshots.
+    // Wait for the endpoint to actually go away: the daemon closes its
+    // listener when drain starts, so from here on it takes no new work.
     let deadline = std::time::Instant::now() + wait;
     loop {
         match Client::connect_timeout(&Endpoint::parse(&endpoint), timeout) {
@@ -209,43 +203,6 @@ fn run_leave(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_drain(args: &[String]) -> Result<(), String> {
-    let Some((spec, rest)) = args.split_first() else {
-        return Err(USAGE.into());
-    };
-    let endpoints = split_endpoints(spec)?;
-    let mut shard: Option<usize> = None;
-    let mut store: Option<String> = None;
-    let mut successor: Option<usize> = None;
-    let mut wait = Duration::from_secs(30);
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().cloned().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--shard" => {
-                shard = Some(parse_num(&value("--shard")?, "--shard")?);
-            }
-            "--store" => store = Some(value("--store")?),
-            "--successor" => {
-                successor = Some(parse_num(&value("--successor")?, "--successor")?);
-            }
-            "--wait-ms" => {
-                wait = Duration::from_millis(parse_num(&value("--wait-ms")?, "--wait-ms")?);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    let shard = shard.ok_or("drain needs --shard K")?;
-    let store = store.ok_or("drain needs --store DIR (the departing shard's --cache-dir)")?;
-    let successor = successor.ok_or("drain needs --successor J")?;
-    let report = drain_shard(&endpoints, shard, &store, successor, wait)?;
-    eprintln!(
-        "bivctl: shard {shard} drained; successor {successor} preloaded {} summaries from {store}",
-        report.loaded
-    );
-    Ok(())
-}
-
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
     value
         .parse()
@@ -260,7 +217,6 @@ fn main() -> ExitCode {
             "members" => run_members(rest),
             "join" => run_join(rest),
             "leave" => run_leave(rest),
-            "drain" => run_drain(rest),
             "--help" | "-h" => Err(USAGE.into()),
             other => Err(format!("unknown command `{other}` (try --help)")),
         },

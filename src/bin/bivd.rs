@@ -3,7 +3,7 @@
 //! ```text
 //! bivd [--socket PATH | --tcp ADDR] [--workers N] [--queue-cap N]
 //!      [--cache-cap N] [--cache-dir PATH] [--timeout-ms N]
-//!      [--fleet shard=K/N] [--peers EP1,EP2,...] [--replicas R]
+//!      [--fleet shard=K/N --peers EP1,EP2,...|none] [--replicas R]
 //!      [--heartbeat-ms N] [--no-auto-rebalance] [--net-threaded]
 //!      [--budget SPEC] [--faults SPEC]
 //! ```
@@ -26,20 +26,22 @@
 //! frames are refused with an explicit `draining` error, and the final
 //! counters are printed on exit.
 //!
-//! `--fleet shard=K/N` declares this daemon shard `K` of an `N`-shard
-//! fleet (see `biv-fleet`). The daemon itself behaves identically — one
-//! cache, one queue — but it answers `analyze_fleet` requests only when
-//! the router's believed identity matches, redirecting mismatches with
-//! its actual identity, and its `stats` response carries the shard
-//! coordinates so the fleet aggregator can label it.
+//! `--fleet shard=K/N --peers ...` makes this daemon shard `K` of an
+//! `N`-shard fleet (see `biv-fleet`). The daemon itself behaves
+//! identically — one cache, one queue — but it answers `analyze_fleet`
+//! requests only when the router's believed identity matches (a
+//! mismatch answers a `wrong-shard` error), and its `stats` response
+//! carries the shard coordinates so the fleet aggregator can label it.
 //!
-//! `--peers` additionally starts the cluster agent: the shard gossips a
-//! versioned membership view with its peers (routers then bootstrap the
-//! whole ring from any one live seed), replicates committed summaries
-//! to its `--replicas R` ring successors so a killed primary's keys are
-//! served warm, and — with `--cache-dir` — hands snapshot copies to the
-//! affected shards when membership changes (join/leave rebalance). The
-//! first shard of a fleet has no one to dial yet: pass `--peers none`.
+//! `--peers` starts the cluster agent, which every fleet member runs:
+//! the shard gossips a versioned membership view with its peers
+//! (routers bootstrap the whole ring from any one live seed),
+//! replicates committed summaries to its `--replicas R` ring successors
+//! so a killed primary's keys are served warm, and — with
+//! `--cache-dir` — hands snapshot copies to the affected shards when
+//! membership changes (join/leave rebalance). The first shard of a
+//! fleet has no one to dial yet: pass `--peers none`. `--fleet` without
+//! `--peers` is refused.
 //!
 //! On Linux connection I/O runs on a readiness-driven epoll event loop;
 //! `--net-threaded` selects the portable thread-per-connection
@@ -52,7 +54,7 @@ use biv::fleet::{AgentConfig, ClusterAgent};
 use biv::server::signal;
 use biv::server::{Endpoint, NetMode, Server, ServerConfig};
 
-const USAGE: &str = "usage: bivd [--socket PATH | --tcp ADDR] [--workers N] [--queue-cap N] [--cache-cap N] [--cache-dir PATH] [--timeout-ms N] [--fleet shard=K/N] [--peers EP1,EP2,... | --peers none] [--replicas R] [--heartbeat-ms N] [--no-auto-rebalance] [--net-threaded] [--budget time=MS,nodes=N,scc=N,order=N] [--faults seed=N,profile=NAME]";
+const USAGE: &str = "usage: bivd [--socket PATH | --tcp ADDR] [--workers N] [--queue-cap N] [--cache-cap N] [--cache-dir PATH] [--timeout-ms N] [--fleet shard=K/N --peers EP1,EP2,...|none] [--replicas R] [--heartbeat-ms N] [--no-auto-rebalance] [--net-threaded] [--budget time=MS,nodes=N,scc=N,order=N] [--faults seed=N,profile=NAME]";
 
 fn default_socket() -> String {
     std::env::temp_dir()
@@ -81,6 +83,8 @@ fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
         heartbeat_ms: None,
         auto_rebalance: true,
     };
+    // A fleet member must run the agent, so `--fleet` needs `--peers`.
+    let mut fleet = false;
     let mut args = std::env::args().skip(1);
     fn set_endpoint(e: Endpoint, endpoint: &mut Option<Endpoint>) -> Result<(), String> {
         if endpoint.is_some() {
@@ -112,6 +116,7 @@ fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
                 let (shard_id, shard_count) = parse_fleet(&value("--fleet")?)?;
                 config.shard_id = shard_id;
                 config.shard_count = shard_count;
+                fleet = true;
             }
             "--peers" => {
                 let list = value("--peers")?;
@@ -150,10 +155,13 @@ fn parse_args() -> Result<(ServerConfig, ClusterOpts), String> {
     }
     config.endpoint = endpoint.unwrap_or(Endpoint::Unix(default_socket().into()));
     if cluster.seeds.is_none()
-        && (cluster.replicas.is_some() || cluster.heartbeat_ms.is_some() || !cluster.auto_rebalance)
+        && (fleet
+            || cluster.replicas.is_some()
+            || cluster.heartbeat_ms.is_some()
+            || !cluster.auto_rebalance)
     {
         return Err(
-            "--replicas / --heartbeat-ms / --no-auto-rebalance need --peers (use `--peers none` for the first shard)"
+            "--fleet / --replicas / --heartbeat-ms / --no-auto-rebalance need --peers (use `--peers none` for the first shard)"
                 .into(),
         );
     }

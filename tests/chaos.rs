@@ -25,7 +25,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use biv::server::{Client, Endpoint, Request, Response, Server, ServerConfig};
-use common::{await_alive, await_replication_settled, stat};
+use common::{await_alive, await_replication_settled, local_reference, stat};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -152,10 +152,12 @@ fn chaos_profile_upholds_the_serving_invariants() {
     handle.join().expect("clean drain under chaos");
 }
 
-/// One real `bivd` process, a shard of a 3-shard fleet, armed with the
-/// `fleet` fault profile (epoll EINTR + spurious wakes on its event
-/// loop). Returns the child and its resolved endpoint.
-fn spawn_shard_process(shard: u32) -> (std::process::Child, String) {
+/// One real `bivd` process, a member of a 3-shard fleet seeded from
+/// `peers`, armed with the `fleet` fault profile (epoll EINTR +
+/// spurious wakes on its event loop, lost heartbeats, partitions).
+/// `--replicas 3` makes every shard a replica of every key, so failover
+/// may use the whole ring. Returns the child and its resolved endpoint.
+fn spawn_shard_process(shard: u32, peers: &str) -> (std::process::Child, String) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_bivd"))
         .args([
             "--tcp",
@@ -164,6 +166,12 @@ fn spawn_shard_process(shard: u32) -> (std::process::Child, String) {
             &format!("shard={shard}/3"),
             "--workers",
             "1",
+            "--peers",
+            peers,
+            "--replicas",
+            "3",
+            "--heartbeat-ms",
+            "50",
             "--faults",
             "seed=42,profile=fleet",
         ])
@@ -199,37 +207,24 @@ fn fleet_corpus(n: usize) -> Vec<biv::server::AnalyzeFile> {
         .collect()
 }
 
-/// What a local `bivc` batch run prints for `files` — the bytes the
-/// fleet must reproduce regardless of faults and shard deaths.
-fn local_reference(files: &[biv::server::AnalyzeFile]) -> String {
-    use biv::core_analysis::{analyze_batch, cold_batch_stats, render_grouped, BatchOptions};
-    let mut funcs = Vec::new();
-    let mut ranges = Vec::new();
-    for f in files {
-        let program = biv::ir::parser::parse_program(&f.source).expect("corpus parses");
-        ranges.push((f.path.clone(), program.functions.len()));
-        funcs.extend(program.functions);
-    }
-    let opts = BatchOptions::default();
-    let report = analyze_batch(&funcs, &opts);
-    let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
-    let cold = cold_batch_stats(&hashes, opts.cache_capacity);
-    render_grouped(&ranges, &report.functions, &cold)
-}
-
 #[test]
 fn sigkilled_shard_mid_batch_reroutes_without_changing_bytes() {
     let _gate = GATE.lock().unwrap();
     biv_faults::uninstall();
 
-    let shards: Vec<(std::process::Child, String)> = (0..3).map(spawn_shard_process).collect();
+    let (child0, ep0) = spawn_shard_process(0, "none");
+    let (child1, ep1) = spawn_shard_process(1, &ep0);
+    let (child2, ep2) = spawn_shard_process(2, &ep0);
+    let shards = vec![(child0, ep0.clone()), (child1, ep1), (child2, ep2)];
+    await_alive(&ep0, 3, Duration::from_secs(10));
     let endpoints: Vec<String> = shards.iter().map(|(_, e)| e.clone()).collect();
     let files = fleet_corpus(24);
     let reference = local_reference(&files);
 
     // The router side also runs under the fleet profile, so dials
     // occasionally fail as if shards were dead — every such event must
-    // be absorbed by redirect-to-successor without touching the bytes.
+    // be absorbed by re-routing within the replica set (here the whole
+    // ring) without touching the bytes.
     biv_faults::install(42, biv_faults::Profile::Fleet);
     let mut router =
         biv::fleet::Router::new(biv::fleet::FleetConfig::new(endpoints.clone())).expect("router");

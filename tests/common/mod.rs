@@ -261,3 +261,21 @@ pub fn await_replication_settled(endpoints: &[String], expect_entries: i64, dead
         std::thread::sleep(Duration::from_millis(50));
     }
 }
+
+/// What a local `bivc` batch run prints for `files` — the bytes a fleet
+/// batch must reproduce regardless of faults and shard deaths.
+pub fn local_reference(files: &[biv::server::AnalyzeFile]) -> String {
+    use biv::core_analysis::{analyze_batch, cold_batch_stats, render_grouped, BatchOptions};
+    let mut funcs = Vec::new();
+    let mut ranges = Vec::new();
+    for f in files {
+        let program = biv::ir::parser::parse_program(&f.source).expect("corpus parses");
+        ranges.push((f.path.clone(), program.functions.len()));
+        funcs.extend(program.functions);
+    }
+    let opts = BatchOptions::default();
+    let report = analyze_batch(&funcs, &opts);
+    let hashes: Vec<u64> = report.functions.iter().map(|f| f.hash).collect();
+    let cold = cold_batch_stats(&hashes, opts.cache_capacity);
+    render_grouped(&ranges, &report.functions, &cold)
+}

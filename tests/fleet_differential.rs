@@ -18,11 +18,12 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use biv::server::{Client, Endpoint, Request, Response};
-use common::{bivc, bivc_stdout, scratch_dir, write_corpus_files};
+use common::{await_alive, bivc, bivc_stdout, scratch_dir, write_corpus_files};
 
-/// Spawns one `bivd --tcp 127.0.0.1:0 --fleet shard=K/N` shard process
-/// and returns the child plus the endpoint parsed from its banner.
-fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, String) {
+/// Spawns one `bivd --tcp 127.0.0.1:0 --fleet shard=K/N --peers PEERS`
+/// member process and returns the child plus the endpoint parsed from
+/// its banner.
+fn spawn_tcp_shard(shard: u32, shard_count: u32, peers: &str, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bivd"))
         .args([
             "--tcp",
@@ -31,6 +32,10 @@ fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, Stri
             &format!("shard={shard}/{shard_count}"),
             "--workers",
             "2",
+            "--peers",
+            peers,
+            "--heartbeat-ms",
+            "50",
         ])
         .args(extra)
         .stdout(Stdio::null())
@@ -53,14 +58,18 @@ fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, Stri
     (child, endpoint)
 }
 
+/// Starts an N-member fleet — shard 0 seeds it, the rest join through
+/// shard 0 — and waits until shard 0's view shows every member alive.
 fn spawn_fleet(shard_count: u32, extra: &[&str]) -> (Vec<Child>, String) {
     let mut children = Vec::new();
-    let mut endpoints = Vec::new();
+    let mut endpoints: Vec<String> = Vec::new();
     for shard in 0..shard_count {
-        let (child, endpoint) = spawn_tcp_shard(shard, shard_count, extra);
+        let peers = endpoints.first().map_or("none", String::as_str);
+        let (child, endpoint) = spawn_tcp_shard(shard, shard_count, peers, extra);
         children.push(child);
         endpoints.push(endpoint);
     }
+    await_alive(&endpoints[0], shard_count as usize, Duration::from_secs(10));
     (children, endpoints.join(","))
 }
 
@@ -135,7 +144,7 @@ fn net_threaded_fleet_matches_local_bytes() {
 #[cfg(target_os = "linux")]
 #[test]
 fn epoll_front_end_serves_with_ten_thousand_idle_connections() {
-    let (mut child, endpoint) = spawn_tcp_shard(0, 1, &[]);
+    let (mut child, endpoint) = spawn_tcp_shard(0, 1, "none", &[]);
     let addr = endpoint.strip_prefix("tcp:").expect("tcp endpoint");
 
     let mut idle: Vec<TcpStream> = Vec::with_capacity(10_050);

@@ -115,6 +115,7 @@ fn invariants_flag_is_pure_line_addition_and_recovers_planted_labels() {
 
 /// Spawns one `bivd --tcp 127.0.0.1:0 --fleet shard=K/N <extra...>`
 /// shard and returns the child plus the endpoint parsed from its banner.
+/// `extra` must carry `--peers`: every fleet member runs the agent.
 fn spawn_tcp_shard(shard: u32, shard_count: u32, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bivd"))
         .args([
@@ -178,14 +179,18 @@ fn remote_and_three_shard_fleet_invariant_bytes_match_local_warm_and_cold() {
     }
     daemon.shutdown();
 
-    // 3-shard fleet, cold then warm, byte-identical both times.
+    // 3-shard fleet (shard 0 seeds it), cold then warm, byte-identical
+    // both times.
     let mut children = Vec::new();
-    let mut endpoints = Vec::new();
+    let mut endpoints: Vec<String> = Vec::new();
     for shard in 0..3 {
-        let (child, endpoint) = spawn_tcp_shard(shard, 3, &[]);
+        let peers = endpoints.first().map_or("none", String::as_str).to_string();
+        let (child, endpoint) =
+            spawn_tcp_shard(shard, 3, &["--peers", &peers, "--heartbeat-ms", "50"]);
         children.push(child);
         endpoints.push(endpoint);
     }
+    await_alive(&endpoints[0], 3, Duration::from_secs(10));
     let endpoints = endpoints.join(",");
     for pass in ["cold", "warm"] {
         let out = bivc_stdout(&["--fleet", &endpoints, "--invariants", &dir_arg]);
@@ -331,6 +336,11 @@ fn replicated_fleet_alternating_flags_match_cold_local_runs_and_fail_over_warm()
         assert_eq!(
             out, reference[invariants as usize],
             "--fleet pass {pass} (invariants={invariants}) diverged"
+        );
+        // One seed, two shards: the banner counts the ring, not seeds.
+        assert!(
+            stderr.contains(&format!("analyzing {FILES} files across 2 shards")),
+            "pass {pass} banner:\n{stderr}"
         );
         if pass >= 2 {
             assert!(

@@ -8,8 +8,14 @@ use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
+// These tests use only a slice of the shared helpers.
+#[allow(dead_code)]
+mod common;
+
+use biv::fleet::{AgentConfig, ClusterAgent, FleetConfig, Member, MemberState, Router, View};
 use biv::server::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
-use biv::server::{Client, Endpoint, Request, Response, Server, ServerConfig};
+use biv::server::{AnalyzeFile, Client, Endpoint, Request, Response, Server, ServerConfig};
+use common::local_reference;
 
 /// An in-process server on a loopback port; returns the dial address
 /// and the join handle (resolved by a `shutdown` request).
@@ -120,12 +126,56 @@ fn stop_fake(endpoint: &str, stop: &AtomicBool, handle: std::thread::JoinHandle<
     handle.join().unwrap();
 }
 
+/// A real fleet member in-process: shard `shard_id` of `shard_count`
+/// with a cluster agent attached (no seeds, R=1 so it pushes nothing
+/// to the fake peers these tests pair it with).
+fn spawn_member_shard(shard_id: u32, shard_count: u32) -> (String, std::thread::JoinHandle<()>) {
+    let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
+    config.workers = 1;
+    config.shard_id = shard_id;
+    config.shard_count = shard_count;
+    let mut server = Server::bind(config).expect("bind");
+    let endpoint = server.bound_endpoint();
+    let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let mut agent = AgentConfig::new(shard_id, shard_count, endpoint.clone());
+    agent.replication = 1;
+    let (hook, _threads) = ClusterAgent::spawn(agent, flag);
+    server.install_cluster(hook);
+    let handle = std::thread::spawn(move || {
+        server.run(flag).expect("server run");
+    });
+    (endpoint, handle)
+}
+
+/// A router over `endpoints` as a converged R=2 view describes them:
+/// shard `k` alive at `endpoints[k]`. A fake shard cannot gossip, so
+/// the tests hand the router the view a seed would have answered.
+fn member_router(endpoints: Vec<String>) -> Router {
+    let members = endpoints
+        .iter()
+        .enumerate()
+        .map(|(k, endpoint)| Member {
+            shard_id: k as u32,
+            endpoint: endpoint.clone(),
+            incarnation: 1,
+            state: MemberState::Alive,
+        })
+        .collect();
+    let view = View {
+        version: 1,
+        shard_count: endpoints.len() as u32,
+        replication: 2,
+        members,
+    };
+    Router::from_members(FleetConfig::new(endpoints), &view).expect("router")
+}
+
 /// Fleet malformed frames, case 1 — truncated stats reply: the
 /// aggregator must mark that shard unreachable and still aggregate the
 /// healthy one, never hang or fail the whole poll.
 #[test]
 fn truncated_shard_stats_reply_fails_the_shard_not_the_aggregate() {
-    let (real_endpoint, real_handle) = spawn_server();
+    let (real_endpoint, real_handle) = spawn_member_shard(0, 2);
     // Promise 64 payload bytes, deliver 5, close.
     let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
         let mut out = 64u32.to_be_bytes().to_vec();
@@ -148,65 +198,37 @@ fn truncated_shard_stats_reply_fails_the_shard_not_the_aggregate() {
 }
 
 /// Fleet malformed frames, case 2 — a shard that answers every analyze
-/// with a redirect (so the router's identity repair never converges):
-/// files routed to it must fail individually with a give-up error while
-/// files on the healthy shard are served, and the batch as a whole
-/// completes.
+/// with `wrong-shard` (its endpoint hosts some other shard now): the
+/// router must mark it dead and re-route its files within their
+/// replica set, so the healthy shard serves the whole batch with the
+/// exact local bytes.
 #[test]
-fn redirect_loop_fails_the_file_not_the_batch() {
-    let (real_endpoint, real_handle) = {
-        // A real shard 0 of a 2-shard fleet.
-        let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
-        config.workers = 1;
-        config.shard_count = 2;
-        let server = Server::bind(config).expect("bind");
-        let endpoint = server.bound_endpoint();
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || {
-            server.run(flag).expect("server run");
-        });
-        (endpoint, handle)
-    };
-    // The fake claims to be shard 0 forever, whatever it is asked.
+fn wrong_shard_answer_reroutes_within_the_replica_set() {
+    let (real_endpoint, real_handle) = spawn_member_shard(0, 2);
     let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
-        framed(&Response::Redirect {
-            shard_id: 0,
-            shard_count: 2,
-            message: "I only ever claim to be shard 0".into(),
+        framed(&Response::Error {
+            kind: "wrong-shard".into(),
+            message: "this server is shard 7/8, not 1/2".into(),
         })
     });
 
-    let files: Vec<biv::server::AnalyzeFile> = (0..12)
-        .map(|i| biv::server::AnalyzeFile {
+    let files: Vec<AnalyzeFile> = (0..12)
+        .map(|i| AnalyzeFile {
             path: format!("mem/{i}.biv"),
-            source: format!("func r{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
+            source: format!("func w{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
         })
         .collect();
-    let mut router = biv::fleet::Router::new(biv::fleet::FleetConfig::new(vec![
-        real_endpoint.clone(),
-        fake_endpoint.clone(),
-    ]))
-    .expect("router");
+    let mut router = member_router(vec![real_endpoint.clone(), fake_endpoint.clone()]);
     let report = router.analyze(files.clone()).expect("batch completes");
 
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.functions, files.len(), "every file served");
     assert!(
-        !report.errors.is_empty(),
-        "some files must have routed into the redirect loop"
+        report.dead_shards.contains(&1),
+        "the wrong-shard endpoint must be marked dead, saw {:?}",
+        report.dead_shards
     );
-    assert!(
-        report.errors.len() < files.len(),
-        "the healthy shard must have served the rest"
-    );
-    for e in &report.errors {
-        assert!(
-            e.message.contains("gave up after"),
-            "expected a give-up error, got: {}",
-            e.message
-        );
-    }
-    assert!(report.redirects > 0);
-    // Served files render normally; the output ends with a stats line.
-    assert!(report.output.ends_with("evictions\n"));
+    assert_eq!(report.output, local_reference(&files));
 
     stop_fake(&fake_endpoint, &stop, fake_handle);
     let mut client = Client::connect(&Endpoint::parse(&real_endpoint)).expect("connect");
@@ -214,95 +236,26 @@ fn redirect_loop_fails_the_file_not_the_batch() {
     real_handle.join().expect("clean drain");
 }
 
-/// Fleet malformed frames, case 3 — a redirect naming a shard id that
-/// does not exist in the fleet: a protocol error for the affected
-/// files, not a panic and not a batch failure.
-#[test]
-fn out_of_range_redirect_shard_id_fails_the_file_cleanly() {
-    let (real_endpoint, real_handle) = {
-        let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
-        config.workers = 1;
-        config.shard_count = 2;
-        let server = Server::bind(config).expect("bind");
-        let endpoint = server.bound_endpoint();
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || {
-            server.run(flag).expect("server run");
-        });
-        (endpoint, handle)
-    };
-    let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
-        framed(&Response::Redirect {
-            shard_id: 9,
-            shard_count: 2,
-            message: "routing table from another universe".into(),
-        })
-    });
-
-    let files: Vec<biv::server::AnalyzeFile> = (0..12)
-        .map(|i| biv::server::AnalyzeFile {
-            path: format!("mem/{i}.biv"),
-            source: format!("func o{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
-        })
-        .collect();
-    let mut router = biv::fleet::Router::new(biv::fleet::FleetConfig::new(vec![
-        real_endpoint.clone(),
-        fake_endpoint.clone(),
-    ]))
-    .expect("router");
-    let report = router.analyze(files.clone()).expect("batch completes");
-
-    assert!(!report.errors.is_empty(), "some files hit the bad shard");
-    assert!(report.errors.len() < files.len(), "the rest were served");
-    for e in &report.errors {
-        assert!(
-            e.message.contains("redirect to shard 9 of 2"),
-            "expected an out-of-range protocol error, got: {}",
-            e.message
-        );
-    }
-
-    stop_fake(&fake_endpoint, &stop, fake_handle);
-    let mut client = Client::connect(&Endpoint::parse(&real_endpoint)).expect("connect");
-    client.request(&Request::Shutdown).expect("shutdown");
-    real_handle.join().expect("clean drain");
-}
-
-/// Fleet malformed frames, case 4 — a shard whose analyze reply is a
+/// Fleet malformed frames, case 3 — a shard whose analyze reply is a
 /// truncated frame: the router treats the broken exchange as a shard
 /// death and re-routes to the healthy shard, so every file is still
 /// served and the bytes stay correct.
 #[test]
 fn truncated_analyze_reply_reroutes_to_the_healthy_shard() {
-    let (real_endpoint, real_handle) = {
-        let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
-        config.workers = 1;
-        config.shard_count = 2;
-        let server = Server::bind(config).expect("bind");
-        let endpoint = server.bound_endpoint();
-        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let handle = std::thread::spawn(move || {
-            server.run(flag).expect("server run");
-        });
-        (endpoint, handle)
-    };
+    let (real_endpoint, real_handle) = spawn_member_shard(0, 2);
     let (fake_endpoint, stop, fake_handle) = spawn_fake_shard(|_| {
         let mut out = 1000u32.to_be_bytes().to_vec();
         out.extend_from_slice(b"{\"ok\":true,\"op\":\"analyze_fl");
         out
     });
 
-    let files: Vec<biv::server::AnalyzeFile> = (0..12)
-        .map(|i| biv::server::AnalyzeFile {
+    let files: Vec<AnalyzeFile> = (0..12)
+        .map(|i| AnalyzeFile {
             path: format!("mem/{i}.biv"),
             source: format!("func t{i}(n) {{ L1: for i = 1 to n {{ A[i] = {i} }} }}\n"),
         })
         .collect();
-    let mut router = biv::fleet::Router::new(biv::fleet::FleetConfig::new(vec![
-        real_endpoint.clone(),
-        fake_endpoint.clone(),
-    ]))
-    .expect("router");
+    let mut router = member_router(vec![real_endpoint.clone(), fake_endpoint.clone()]);
     let report = router.analyze(files.clone()).expect("batch completes");
 
     assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -319,7 +272,7 @@ fn truncated_analyze_reply_reroutes_to_the_healthy_shard() {
     real_handle.join().expect("clean drain");
 }
 
-/// Fleet malformed frames, case 5 — truncated and oversized `preload`
+/// Fleet malformed frames, case 4 — truncated and oversized `preload`
 /// and `gossip` frames against a live server: each must end in a
 /// protocol error or a clean close, and the daemon must keep serving.
 #[test]
@@ -385,7 +338,7 @@ fn malformed_preload_and_gossip_frames_never_kill_the_server() {
     handle.join().expect("clean drain");
 }
 
-/// Fleet malformed frames, case 6 — well-formed gossip frames carrying
+/// Fleet malformed frames, case 5 — well-formed gossip frames carrying
 /// garbage member records against a server *with* a membership agent:
 /// the agent must ignore what it cannot parse (including shard ids
 /// outside the ring), answer its own well-formed view, and keep its

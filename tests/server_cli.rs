@@ -149,3 +149,70 @@ fn connecting_to_a_dead_socket_fails_cleanly() {
         "expected a connection error, got:\n{stderr}"
     );
 }
+
+/// A fleet member always runs the cluster agent: `--fleet` without
+/// `--peers` is refused before the daemon binds anything.
+#[test]
+fn fleet_shard_without_peers_is_refused() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_bivd"))
+        .args(["--tcp", "127.0.0.1:0", "--fleet", "shard=0/3"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("bivd spawns");
+    // A daemon that accepted the flags would serve forever; give it a
+    // bounded time to exit, then kill it and fail.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll bivd") {
+            break Some(status);
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr reads");
+    let status = status.unwrap_or_else(|| panic!("bivd kept running:\n{stderr}"));
+    assert_eq!(status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("--peers none"), "hint missing:\n{stderr}");
+    assert!(!stderr.contains("listening on"), "bound anyway:\n{stderr}");
+}
+
+/// A router can only bootstrap from a membership view: a seed without
+/// a cluster agent fails `Router::new` with a `--peers` hint.
+#[test]
+fn router_refuses_a_seed_without_a_cluster_agent() {
+    use std::sync::atomic::AtomicBool;
+
+    use biv::fleet::{FleetConfig, Router};
+    use biv::server::{Client, Endpoint, Request, Server, ServerConfig};
+
+    let mut config = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
+    config.workers = 1;
+    let server = Server::bind(config).expect("bind 127.0.0.1:0");
+    let endpoint = server.bound_endpoint();
+    let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let handle = std::thread::spawn(move || {
+        server.run(flag).expect("server run");
+    });
+
+    let err = Router::new(FleetConfig::new(vec![endpoint.clone()]))
+        .expect_err("an agent-less seed cannot bootstrap a router");
+    assert!(err.contains("--peers"), "{err}");
+
+    let mut client = Client::connect(&Endpoint::parse(&endpoint)).expect("connect");
+    client.request(&Request::Shutdown).expect("shutdown");
+    handle.join().expect("clean drain");
+}
